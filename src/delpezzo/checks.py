@@ -29,14 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DelPezzoError
-from .genus0 import GwTable, n0, support_enumerate, support_pairs
+from .genus0 import GwTable, n0, support_enumerate
 from .genus2 import (
+    _pair_terms,
     n2j_main,
     plane_genus2_intermediate,
     plane_genus2_zinger,
     reconcile,
 )
-from .numerics import binomial
 from .surface import CurveClass, Surface, quadric_to_blowup_class
 
 __all__ = ["CheckResult", "run_suite", "render_text", "SCOPES"]
@@ -243,26 +243,11 @@ def _sweep_classes(scope: str):
 
 
 def _swap_symmetric(surface, beta, table) -> bool:
-    delta = surface.delta(beta)
-    deg = surface.anticanonical_degree(beta)
-    terms = {}
-    for b1, c1, b2, c2 in support_pairs(surface, beta, table):
-        weight = binomial(delta - 1, surface.delta(b1))
-        dot = surface.intersect(b1, b2)
-        deg1 = surface.anticanonical_degree(b1)
-        deg2 = surface.anticanonical_degree(b2)
-        sq1 = surface.self_intersection(b1)
-        sq2 = surface.self_intersection(b2)
-        terms[(b1.coeffs, b2.coeffs)] = (
-            weight * sq1 * sq2 * dot * c1 * c2,
-            Fraction(weight * c1 * c2 * dot * deg1 * deg2, 2 * deg),
-            Fraction(weight * c1 * c2 * dot, 2),
-            weight
-            * c1
-            * c2
-            * dot
-            * (-Fraction(6 * deg1 * deg2, deg) + Fraction(sq1 * sq2, 2) + 10),
-        )
+    # Every splitting summand is a fixed combination of (t0, t1, t2) and each
+    # of those is a summand up to a constant, so comparing them is exact.
+    terms = {
+        (b1.coeffs, b2.coeffs): t for b1, b2, t in _pair_terms(surface, beta, table)
+    }
     return all(terms[(a, b)] == terms[(b, a)] for (a, b) in terms)
 
 

@@ -5,36 +5,54 @@ anticanonical class ``x1``, Euler number ``x2`` and second Betti number
 ``b2``; write ``deg = beta . x1``, ``delta = deg - 1``, and for an ordered
 splitting ``beta = beta1 + beta2`` into classes with nonzero genus-zero
 counts write ``n_i = n0(beta_i)``, ``deg_i = beta_i . x1`` and
-``w = C(delta - 1, delta(beta1))`` for the point-distribution weight.  All
-splitting sums below run over those ordered pairs and every summand is
-invariant under swapping the two parts, because C(delta-1, delta(beta1)) =
-C(delta-1, delta(beta2)).
+``w = C(delta - 1, delta(beta1))`` for the point-distribution weight.
+
+Every quantity below is linear in ``n0 = n0(beta)`` and three splitting
+moments, summed over those ordered pairs:
+
+    S0 = sum w n1 n2 (b1.b2)
+    S1 = sum w n1 n2 (b1.b2) deg1 deg2
+    S2 = sum w n1 n2 (b1.b2) b1^2 b2^2
+
+Each summand is invariant under swapping the two parts, because
+C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)).  In this basis:
+
+    rt2       = (4 + 2 b2) beta^2 n0 + S2
+    taut      = (x1^2/deg) n0 - S1/(2 deg)
+    cusp      = (x2 - x1^2/deg) n0 + S1/(2 deg) - S0
+    two_comp  = S0/2
+    n11       = 2 taut                                 (lemma form)
+              = 2 taut + (2 x1^2 - 2 x2) n0            (proof form)
+    cr        = n11 + 22 cusp + 4 two_comp
 
 The central quantity is the count ``n2j`` of genus-two curves with a fixed
 generic complex structure on the domain, through ``delta - 1`` generic
 points:
 
-    (2 / aut) * [ n0(beta) ((2 + b2) beta^2 - 10 x2 - x1^2 + 12 x1^2/deg)
-      + sum w n1 n2 (b1.b2) (-6 deg1 deg2 / deg + b1^2 b2^2 / 2 + 10) ]
+    n2j = (2 / aut) [ ((2 + b2) beta^2 - 10 x2 - x1^2 + 12 x1^2/deg) n0
+                      - 6 S1/deg + S2/2 + 10 S0 ]
 
 with ``aut`` the order of the automorphism group of the domain curve (2
-for generic genus-two curves, which are hyperelliptic).  The remaining
-invariants are the intermediate quantities of the same computation: the
+for generic genus-two curves, which are hyperelliptic).  The other
+quantities are the intermediate ones of the same computation: the
 degree-two symplectic sum ``rt2``, the count of rational curves with a
 cusp, the count of two-component rational configurations weighted by their
 intersection points, the tautological intersection number on the universal
 curve over the space of rational curves, and the correction components
-(one per boundary stratum type) that tie them together.  ``reconcile``
-reports how the pieces fit, without asserting that they do: on the plane
-conic class the bookkeeping identity fails by a fixed amount, which is
-pinned as a regression value, while the main count passes every geometric
-consistency check.
+(one per boundary stratum type) that tie them together.
+
+``reconcile`` reports ``residual = rt2 - cr - aut n2j`` without asserting
+that it vanishes.  In the moment basis ``S0`` and ``S2`` cancel, which
+leaves ``residual_proof = -4 taut`` and ``residual_lemma = -4 taut +
+(2 x1^2 - 2 x2) n0`` for every class; on the plane conic the residuals are
+``(24, 12)``, pinned as a regression value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, n0, support_pairs
@@ -61,60 +79,120 @@ __all__ = [
 ]
 
 
+def _pair_terms(
+    surface: Surface, beta: CurveClass, table: GwTable | None
+) -> Iterator[tuple[CurveClass, CurveClass, tuple[int, int, int]]]:
+    """The summands of ``S0, S1, S2`` for each ordered splitting of ``beta``:
+    ``(beta1, beta2, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with
+    ``t0 = w n1 n2 (b1.b2)``."""
+    delta = surface.delta(beta)
+    for beta1, count1, beta2, count2 in support_pairs(surface, beta, table):
+        weight = binomial(delta - 1, surface.delta(beta1))
+        t0 = weight * count1 * count2 * surface.intersect(beta1, beta2)
+        degs = surface.anticanonical_degree(beta1) * surface.anticanonical_degree(beta2)
+        squares = surface.self_intersection(beta1) * surface.self_intersection(beta2)
+        yield beta1, beta2, (t0, t0 * degs, t0 * squares)
+
+
 @dataclass(frozen=True)
-class _Splitting:
-    """Cached per-pair data shared by all the splitting sums."""
+class _Moments:
+    """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
+    the formulas of the module docstring read; one method per quantity."""
 
-    weight: int  # C(delta - 1, delta(beta1))
-    product: int  # n0(beta1) * n0(beta2)
-    dot: int  # beta1 . beta2
-    deg1: int
-    deg2: int
-    sq1: int  # beta1^2
-    sq2: int  # beta2^2
+    beta: CurveClass
+    deg: int  # beta . x1
+    sq: int  # beta^2
+    x1sq: int  # x1^2
+    x2: int
+    b2: int
+    n0: int
+    s0: int
+    s1: int
+    s2: int
+
+    def rt2(self) -> int:
+        return (4 + 2 * self.b2) * self.n0 * self.sq + self.s2
+
+    def taut(self) -> ExactRatio:
+        return Fraction(self.x1sq, self.deg) * self.n0 - Fraction(self.s1, 2 * self.deg)
+
+    def cusp(self) -> int:
+        total = (
+            (self.x2 - Fraction(self.x1sq, self.deg)) * self.n0
+            + Fraction(self.s1, 2 * self.deg)
+            - self.s0
+        )
+        value = to_integer(total, context=f"cusp count of {self.beta}")
+        if value < 0:
+            raise NegativeCount(f"cusp count of {self.beta} came out {value}")
+        return value
+
+    def two_comp(self) -> int:
+        return to_integer(
+            Fraction(self.s0, 2), context=f"two-component count of {self.beta}"
+        )
+
+    def n11(self, variant: str) -> ExactRatio:
+        if variant == "lemma":
+            return 2 * self.taut()
+        if variant == "proof":
+            # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
+            # the evaluation term against the diagonal cycle vanishes identically.
+            return 2 * self.taut() + (2 * self.x1sq - 2 * self.x2) * self.n0
+        raise InvalidClass(f"unknown correction variant {variant!r}")
+
+    def cr(self, variant: str) -> CrComponents:
+        cusp = self.cusp()
+        return CrComponents(
+            n11=self.n11(variant),
+            n21x2=4 * cusp,
+            n31x18=18 * cusp,
+            n12=4 * self.two_comp(),
+        )
+
+    def n2j(self, aut_order: int) -> int:
+        head = self.n0 * (
+            (2 + self.b2) * self.sq
+            - 10 * self.x2
+            - self.x1sq
+            + Fraction(12 * self.x1sq, self.deg)
+        )
+        tail = -Fraction(6 * self.s1, self.deg) + Fraction(self.s2, 2) + 10 * self.s0
+        value = Fraction(2, aut_order) * (head + tail)
+        return to_integer(value, context=f"genus-two count of {self.beta}")
 
 
-def _require_positive_delta(surface: Surface, beta: CurveClass) -> int:
+def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
+    """One ``n0`` call and one splitting pass: everything the genus-two
+    quantities of ``beta`` need."""
     delta = surface.delta(beta)
     if delta < 1:
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
-    return delta
-
-
-def _splittings(
-    surface: Surface, beta: CurveClass, table: GwTable | None
-) -> list[_Splitting]:
-    delta = surface.delta(beta)
-    rows = []
-    for beta1, count1, beta2, count2 in support_pairs(surface, beta, table):
-        rows.append(
-            _Splitting(
-                weight=binomial(delta - 1, surface.delta(beta1)),
-                product=count1 * count2,
-                dot=surface.intersect(beta1, beta2),
-                deg1=surface.anticanonical_degree(beta1),
-                deg2=surface.anticanonical_degree(beta2),
-                sq1=surface.self_intersection(beta1),
-                sq2=surface.self_intersection(beta2),
-            )
-        )
-    return rows
+    count = n0(surface, beta, table)
+    s0 = s1 = s2 = 0
+    for _, _, (t0, t1, t2) in _pair_terms(surface, beta, table):
+        s0 += t0
+        s1 += t1
+        s2 += t2
+    return _Moments(
+        beta=beta,
+        deg=surface.anticanonical_degree(beta),
+        sq=surface.self_intersection(beta),
+        x1sq=surface.k_squared,
+        x2=surface.euler_number,
+        b2=surface.b2,
+        n0=count,
+        s0=s0,
+        s1=s1,
+        s2=s2,
+    )
 
 
 def rt2(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
-    """Degree-two symplectic invariant of the class.
-
-    ``(4 + 2 b2) n0 beta^2 + sum w b1^2 b2^2 (b1.b2) n1 n2``.
-    """
-    _require_positive_delta(surface, beta)
-    base = (4 + 2 * surface.b2) * n0(surface, beta, table) * surface.self_intersection(beta)
-    tail = sum(
-        s.weight * s.sq1 * s.sq2 * s.dot * s.product
-        for s in _splittings(surface, beta, table)
-    )
-    return base + tail
+    """Degree-two symplectic invariant of the class: ``(4 + 2 b2) n0 beta^2 + S2``."""
+    return _moments(surface, beta, table).rt2()
 
 
 def taut_intersection(
@@ -122,49 +200,26 @@ def taut_intersection(
 ) -> ExactRatio:
     """Intersection of the first Chern class of the relative cotangent line
     with the anticanonical evaluation cycle, as an exact rational:
-
-    ``x1^2/deg n0 - (1/(2 deg)) sum w n1 n2 (b1.b2) deg1 deg2``.
+    ``x1^2/deg n0 - S1/(2 deg)``.
     """
-    _require_positive_delta(surface, beta)
-    deg = surface.anticanonical_degree(beta)
-    head = Fraction(surface.k_squared, deg) * n0(surface, beta, table)
-    tail = sum(
-        s.weight * s.product * s.dot * s.deg1 * s.deg2
-        for s in _splittings(surface, beta, table)
-    )
-    return head - Fraction(tail, 2 * deg)
+    return _moments(surface, beta, table).taut()
 
 
 def cusp_count(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     """Number of rational curves in the class, through ``delta`` generic
-    points, that carry a cusp:
-
-    ``(x2 - x1^2/deg) n0 + sum w n1 n2 (b1.b2) (deg1 deg2 / (2 deg) - 1)``.
+    points, that carry a cusp: ``(x2 - x1^2/deg) n0 + S1/(2 deg) - S0``.
     """
-    _require_positive_delta(surface, beta)
-    deg = surface.anticanonical_degree(beta)
-    total = (
-        surface.euler_number - Fraction(surface.k_squared, deg)
-    ) * n0(surface, beta, table)
-    for s in _splittings(surface, beta, table):
-        total += s.weight * s.product * s.dot * (Fraction(s.deg1 * s.deg2, 2 * deg) - 1)
-    value = to_integer(total, context=f"cusp count of {beta}")
-    if value < 0:
-        raise NegativeCount(f"cusp count of {beta} came out {value}")
-    return value
+    return _moments(surface, beta, table).cusp()
 
 
 def two_component_count(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
 ) -> int:
     """Number of two-component rational configurations through the points,
-    weighted by the intersection points of the components:
-
-    ``(1/2) sum w n1 n2 (b1.b2)`` (integral by swap symmetry).
+    weighted by the intersection points of the components: ``S0/2``
+    (integral by swap symmetry).
     """
-    _require_positive_delta(surface, beta)
-    total = sum(s.weight * s.product * s.dot for s in _splittings(surface, beta, table))
-    return to_integer(Fraction(total, 2), context=f"two-component count of {beta}")
+    return _moments(surface, beta, table).two_comp()
 
 
 @dataclass(frozen=True)
@@ -181,26 +236,6 @@ class CrComponents:
         return self.n11 + self.n21x2 + self.n31x18 + self.n12
 
 
-def _n11(surface: Surface, beta: CurveClass, table: GwTable | None, variant: str):
-    deg = surface.anticanonical_degree(beta)
-    if variant == "lemma":
-        head = Fraction(2 * surface.k_squared, deg) * n0(surface, beta, table)
-        tail = sum(
-            s.weight * s.product * s.dot * s.deg1 * s.deg2
-            for s in _splittings(surface, beta, table)
-        )
-        return head - Fraction(tail, deg)
-    if variant == "proof":
-        # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0
-        # and routes through the tautological intersection; the evaluation
-        # term against the diagonal cycle vanishes identically.
-        extra = 2 * surface.k_squared - 2 * surface.euler_number
-        return 2 * taut_intersection(surface, beta, table) + extra * n0(
-            surface, beta, table
-        )
-    raise InvalidClass(f"unknown correction variant {variant!r}")
-
-
 def cr_components(
     surface: Surface,
     beta: CurveClass,
@@ -214,14 +249,7 @@ def cr_components(
     ``(2 x1^2 - 2 x2) n0``; both are exposed and neither is treated as
     canonical.
     """
-    _require_positive_delta(surface, beta)
-    cusp = cusp_count(surface, beta, table)
-    return CrComponents(
-        n11=_n11(surface, beta, table, variant),
-        n21x2=4 * cusp,
-        n31x18=18 * cusp,
-        n12=4 * two_component_count(surface, beta, table),
-    )
+    return _moments(surface, beta, table).cr(variant)
 
 
 def cr_total(
@@ -252,23 +280,7 @@ def n2j_main(
     for the closed formula; the result must be integral and is asserted so.
     """
     _check_aut_order(aut_order)
-    _require_positive_delta(surface, beta)
-    deg = surface.anticanonical_degree(beta)
-    k2 = surface.k_squared
-    head = n0(surface, beta, table) * (
-        (2 + surface.b2) * surface.self_intersection(beta)
-        - 10 * surface.euler_number
-        - k2
-        + Fraction(12 * k2, deg)
-    )
-    tail = Fraction(0)
-    for s in _splittings(surface, beta, table):
-        bracket = (
-            -Fraction(6 * s.deg1 * s.deg2, deg) + Fraction(s.sq1 * s.sq2, 2) + 10
-        )
-        tail += s.weight * s.product * s.dot * bracket
-    value = Fraction(2, aut_order) * (head + tail)
-    return to_integer(value, context=f"genus-two count of {beta}")
+    return _moments(surface, beta, table).n2j(aut_order)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +428,20 @@ def genus2_report(
 ) -> Genus2Report:
     """Assemble the full bundle of genus-two quantities for one class."""
     _check_aut_order(aut_order)
-    _require_positive_delta(surface, beta)
+    moments = _moments(surface, beta, table)
     return Genus2Report(
         surface=surface,
         beta=beta,
-        n0=n0(surface, beta, table),
+        n0=moments.n0,
         delta=surface.delta(beta),
         genus=surface.genus(beta),
-        rt2=rt2(surface, beta, table),
-        taut=taut_intersection(surface, beta, table),
-        cusp=cusp_count(surface, beta, table),
-        two_comp=two_component_count(surface, beta, table),
-        cr_lemma=cr_total(surface, beta, table, "lemma"),
-        cr_proof=cr_total(surface, beta, table, "proof"),
-        n2j=n2j_main(surface, beta, table, aut_order),
+        rt2=moments.rt2(),
+        taut=moments.taut(),
+        cusp=moments.cusp(),
+        two_comp=moments.two_comp(),
+        cr_lemma=moments.cr("lemma").total,
+        cr_proof=moments.cr("proof").total,
+        n2j=moments.n2j(aut_order),
         aut_order=aut_order,
         warnings=tuple(applicability_warnings(surface, beta, table)),
     )
@@ -475,11 +487,11 @@ def reconcile(
     aut_order: int = 2,
 ) -> ReconcileReport:
     _check_aut_order(aut_order)
-    _require_positive_delta(surface, beta)
-    rt = rt2(surface, beta, table)
-    lemma = cr_total(surface, beta, table, "lemma")
-    proof = cr_total(surface, beta, table, "proof")
-    scaled = aut_order * n2j_main(surface, beta, table, aut_order)
+    moments = _moments(surface, beta, table)
+    rt = moments.rt2()
+    lemma = moments.cr("lemma").total
+    proof = moments.cr("proof").total
+    scaled = aut_order * moments.n2j(aut_order)
     return ReconcileReport(
         surface=surface,
         beta=beta,

@@ -101,6 +101,24 @@ def test_count_reconcile_csv(capsys):
     assert rows[1][3] == "30"
 
 
+def test_count_reconcile_json_keeps_exact_types(capsys):
+    # Integral rationals stay {"num", "den"} pairs; text and CSV cannot show it.
+    code, out, _ = run(
+        capsys, "count", "reconcile", "--surface", "blp2:k=0", "--class", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    values = {record["quantity"]: record["value"] for record in json.loads(out)}
+    assert values == {
+        "reconcile.rt2": "30",
+        "reconcile.crLemma": {"num": "6", "den": "1"},
+        "reconcile.crProof": {"num": "18", "den": "1"},
+        "reconcile.autTimesN2j": "0",
+        "reconcile.residualLemma": {"num": "24", "den": "1"},
+        "reconcile.residualProof": {"num": "12", "den": "1"},
+    }
+
+
 # -- table ---------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo.errors import InvalidClass
-from delpezzo.genus0 import n0, support_pairs
+from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import (
     applicability_warnings,
     cr_components,
@@ -221,6 +221,32 @@ def test_reconcile_plane_line():
     assert report.aut_n2j == 0
 
 
+def reconcile_identity_classes(name):
+    if name == "plane":
+        return PLANE, [plane_class(d) for d in range(1, 8)]
+    if name == "quadric":
+        return QUADRIC, [
+            CurveClass((a, b)) for a in range(5) for b in range(5) if a + b > 0
+        ]
+    surface = Surface.blowup(2)
+    support = support_enumerate(surface, 10)
+    return surface, [beta for beta, _ in support if surface.delta(beta) >= 1]
+
+
+@pytest.mark.parametrize("name", ["plane", "quadric", "blp2:k=2"])
+def test_reconcile_residuals_are_tautological(name):
+    # rt2 - cr - aut n2j in the moment basis: S0 and S2 cancel and what is
+    # left of S1 is -4 taut; the lemma form adds back (2 x1^2 - 2 x2) n0.
+    surface, classes = reconcile_identity_classes(name)
+    table = GwTable(surface=surface)
+    extra = 2 * surface.k_squared - 2 * surface.euler_number
+    for beta in classes:
+        report = reconcile(surface, beta, table)
+        taut = taut_intersection(surface, beta, table)
+        assert report.residual_proof == -4 * taut, beta
+        assert report.residual_lemma == -4 * taut + extra * n0(surface, beta, table), beta
+
+
 # ---------------------------------------------------------------------------
 # Reports and serialization.
 
@@ -297,6 +323,50 @@ def test_splitting_sums_are_termwise_swap_symmetric(surface, coeffs):
         mirrored = table[(b, a)]
         for key, value in terms.items():
             assert mirrored[key] == value
+
+
+@pytest.fixture
+def pair_walks(monkeypatch):
+    """Records every walk over ``support_pairs`` made by the genus-two module."""
+    walks = []
+
+    def counting(surface, beta, table=None):
+        walks.append(beta)
+        yield from support_pairs(surface, beta, table)
+
+    monkeypatch.setattr("delpezzo.genus2.support_pairs", counting)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "surface, coeffs",
+    [(PLANE, (4,)), (Surface.blowup(2), (4, 1, 1)), (QUADRIC, (3, 3))],
+)
+def test_report_and_reconcile_walk_the_splittings_once(pair_walks, surface, coeffs):
+    beta = CurveClass(coeffs)
+    table = GwTable(surface=surface)
+    genus2_report(surface, beta, table)
+    assert pair_walks == [beta]
+    pair_walks.clear()
+    reconcile(surface, beta, table)
+    assert pair_walks == [beta]
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        rt2,
+        taut_intersection,
+        cusp_count,
+        two_component_count,
+        cr_components,
+        cr_total,
+        n2j_main,
+    ],
+)
+def test_each_quantity_walks_the_splittings_at_most_once(pair_walks, quantity):
+    quantity(PLANE, plane_class(4))
+    assert len(pair_walks) <= 1
 
 
 def test_integrality_small_sweep():
