@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import DelPezzoError
 from .genus0 import GwTable, n0, support_enumerate
 from .genus2 import (
+    _moments,
     _pair_terms,
     n2j_main,
     plane_genus2_intermediate,
@@ -252,16 +253,15 @@ def _swap_symmetric(surface, beta, table) -> bool:
 
 
 def _check_sweep(scope: str) -> list[CheckResult]:
-    from .genus2 import cusp_count, two_component_count
-
     problems = []
     examined = 0
     for surface, beta, table in _sweep_classes(scope):
         examined += 1
         try:
-            n2j_main(surface, beta, table)
-            cusp_count(surface, beta, table)
-            two_component_count(surface, beta, table)
+            moments = _moments(surface, beta, table)
+            moments.n2j(2)
+            moments.cusp()
+            moments.two_comp()
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")
             continue

@@ -379,6 +379,13 @@ def main(argv=None) -> int:
     except DelPezzoError as exc:
         print(f"delpezzo: error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print(
+            "delpezzo: error: the recursion for this class is nested too deeply"
+            " for the interpreter's recursion limit",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

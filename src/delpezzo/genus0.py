@@ -42,6 +42,15 @@ blown-up point off the curve, or trading a point of multiplicity one for a
 generic point constraint, leaves the count unchanged and shrinks the
 lattice.
 
+Counts on blow-ups are invariant under permuting the blown-up points
+(Goettsche-Pandharipande): the monodromy of the general point
+configurations permutes the exceptional classes and preserves the
+invariants.  The blow-up memo is therefore keyed by orbit representatives
+``(d, m_1 >= ... >= m_k)``, and every orbit is computed once.  Candidate
+classes are enumerated the same way, one non-increasing multiplicity tuple
+per orbit, and then expanded into all permutations, because splittings
+need every member.
+
 Splitting sums run over per-degree support lists (classes with nonzero
 count, built in order of anticanonical degree), which keeps the recursion
 polynomial instead of scanning the whole candidate box each time.  All
@@ -52,6 +61,9 @@ raises RecursionFailure instead of returning a wrong number.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt
@@ -82,16 +94,70 @@ CACHE_VERSION = 1
 Coeffs = tuple[int, ...]
 
 
+def _orbit_key(c: Coeffs) -> Coeffs:
+    """Representative of the point-permutation orbit of a blow-up class."""
+    return (c[0], *sorted(c[1:], reverse=True))
+
+
+def _spread_cost(total: int, slots: int) -> int:
+    """Least sum m (m - 1) over integer tuples of ``slots`` values summing to
+    ``total``: the even spread (``slots`` >= 1)."""
+    q, r = divmod(total, slots)
+    return slots * q * (q - 1) + 2 * r * q
+
+
+def _sorted_multiplicities(
+    total: int, slots: int, hi: int, cap: int
+) -> Iterator[Coeffs]:
+    """Non-increasing tuples of ``slots`` values in [0, hi] summing to
+    ``total`` with sum m(m-1) <= cap."""
+    if slots == 1:
+        if total <= hi and total * (total - 1) <= cap:
+            yield (total,)
+        return
+    # The head is at least the mean; each step above it makes the cheapest
+    # completion strictly dearer, so the first head over budget ends the loop.
+    for m in range(-(-total // slots), min(hi, total) + 1):
+        used = m * (m - 1)
+        if used + _spread_cost(total - m, slots - 1) > cap:
+            break
+        for rest in _sorted_multiplicities(total - m, slots - 1, m, cap - used):
+            yield (m,) + rest
+
+
+def _distinct_permutations(values: Coeffs) -> Iterator[Coeffs]:
+    """Each distinct rearrangement of ``values`` once, in lexicographic order."""
+    counts = Counter(values)
+    keys = sorted(counts)
+
+    def arrange(left: int) -> Iterator[Coeffs]:
+        if left == 0:
+            yield ()
+            return
+        for v in keys:
+            if counts[v]:
+                counts[v] -= 1
+                for rest in arrange(left - 1):
+                    yield (v,) + rest
+                counts[v] += 1
+
+    return arrange(len(values))
+
+
 class _BlowupComputer:
     """Counts on every blow-up of the plane at once.
 
-    Memo keys are raw coefficient tuples; the tuple length encodes the
-    surface (length k+1 on k points), so the coefficient-dropping
-    reductions can reuse one memo across ranks.
+    Memo keys are orbit representatives ``(d, *sorted(ms, reverse=True))``
+    of the point-permutation action; the tuple length encodes the surface
+    (length k+1 on k points), so the coefficient-dropping reductions can
+    reuse one memo across ranks.  Everything past ``value`` (the reduction
+    pipeline, the relations and Cremona) only ever sees representatives.
     """
 
     def __init__(self, seed: dict[Coeffs, int] | None = None) -> None:
-        self.memo: dict[Coeffs, int] = dict(seed or {})
+        self.memo: dict[Coeffs, int] = {
+            _orbit_key(c): v for c, v in (seed or {}).items()
+        }
         # (k, anticanonical degree) -> [(coeffs, count), ...], nonzero only
         self.support: dict[tuple[int, int], list[tuple[Coeffs, int]]] = {}
         self.ensured: dict[int, int] = {}
@@ -99,11 +165,12 @@ class _BlowupComputer:
     # -- public ------------------------------------------------------------
 
     def value(self, c: Coeffs) -> int:
-        cached = self.memo.get(c)
+        key = _orbit_key(c)
+        cached = self.memo.get(key)
         if cached is not None:
             return cached
-        result = self._compute(c)
-        self.memo[c] = result
+        result = self._compute(key)
+        self.memo[key] = result
         return result
 
     def pairs(self, c: Coeffs) -> Iterator[tuple[Coeffs, int, Coeffs, int]]:
@@ -140,13 +207,17 @@ class _BlowupComputer:
     def _dot(c1: Coeffs, c2: Coeffs) -> int:
         return c1[0] * c2[0] - sum(m1 * m2 for m1, m2 in zip(c1[1:], c2[1:]))
 
-    def _candidates(self, k: int, degree: int) -> list[Coeffs]:
+    @staticmethod
+    def _candidates(k: int, degree: int) -> list[Coeffs]:
         """Classes of the given anticanonical degree that can carry curves.
 
         These are the exceptional classes (degree 1) and the vectors with
         d >= 1, 0 <= m_i <= d and nonnegative genus, i.e.
         sum m_i (m_i - 1) <= (d-1)(d-2).  The degree bound on d comes from
-        combining the genus bound with Cauchy-Schwarz on sum m_i.
+        combining the genus bound with Cauchy-Schwarz on sum m_i.  The
+        multiplicities are enumerated once per orbit (non-increasing) and
+        each representative is expanded into its distinct permutations;
+        the classes with d >= 1 come out in lexicographic order.
         """
         out: list[Coeffs] = []
         if k == 0:
@@ -161,31 +232,17 @@ class _BlowupComputer:
             return out
         d_lo = max(1, (degree + 2) // 3)
         d_hi = (3 * degree + isqrt(disc)) // (9 - k)
+        classes: list[Coeffs] = []
         for d in range(d_lo, d_hi + 1):
             target = 3 * d - degree
             if target < 0 or target > k * d:
                 continue
             cap = (d - 1) * (d - 2)
-            for ms in self._multiplicities(target, k, d, cap):
-                out.append((d,) + ms)
+            for rep in _sorted_multiplicities(target, k, d, cap):
+                classes.extend((d,) + ms for ms in _distinct_permutations(rep))
+        classes.sort()
+        out.extend(classes)
         return out
-
-    def _multiplicities(
-        self, total: int, slots: int, hi: int, cap: int
-    ) -> Iterator[Coeffs]:
-        """Tuples of ``slots`` values in [0, hi] summing to ``total`` with
-        sum m(m-1) <= cap."""
-        if slots == 0:
-            if total == 0:
-                yield ()
-            return
-        lo = max(0, total - (slots - 1) * hi)
-        for m in range(lo, min(hi, total) + 1):
-            used = m * (m - 1)
-            if used > cap:
-                break
-            for rest in self._multiplicities(total - m, slots - 1, hi, cap - used):
-                yield (m,) + rest
 
     # -- the reduction pipeline ---------------------------------------------
 
@@ -198,7 +255,7 @@ class _BlowupComputer:
         if d == 0:
             exceptional = all(m in (0, -1) for m in ms) and ms.count(-1) == 1
             return 1 if exceptional else 0
-        if any(m < 0 for m in ms) or any(m > d for m in ms):
+        if ms[-1] < 0 or ms[0] > d:
             return 0
         delta = self._degree(c) - 1
         if delta < 0:
@@ -209,9 +266,8 @@ class _BlowupComputer:
         if delta == 0 and d * d - sum(m * m for m in ms) == -1:
             # Rigid class of self-intersection -1: one curve, no constraints.
             return 1
-        for i, m in enumerate(ms):
-            if m in (0, 1):
-                return self.value((d,) + ms[:i] + ms[i + 1 :])
+        if ms[-1] <= 1:
+            return self.value(c[:-1])
         if delta >= 3:
             return self._two_point_relation(c, delta)
         if delta == 2:
@@ -254,7 +310,8 @@ class _BlowupComputer:
         return total
 
     def _one_point_relation(self, c: Coeffs, delta: int) -> int:
-        # (A, B, C) = (E_1, L, E_1); leading coefficient
+        # (A, B, C) = (E_1, L, E_1), E_1 of the largest multiplicity of the
+        # representative; leading coefficient
         # (E1.L)(beta.E1) - (E1.E1)(beta.L) = d.
         d = c[0]
         total = 0
@@ -278,14 +335,12 @@ class _BlowupComputer:
         return quotient
 
     def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
-        # (A, B, C, D) = (E_i, E_j, E_i, E_j) at the two largest
-        # multiplicities; leading coefficient m_i^2 + m_j^2.
+        # (A, B, C, D) = (E_1, E_2, E_1, E_2), the two largest multiplicities
+        # of the representative; leading coefficient m_1^2 + m_2^2.
         ms = c[1:]
         if len(ms) < 2:
             raise RecursionFailure(f"four-divisor relation needs two points at {c}")
-        i = max(range(len(ms)), key=lambda t: ms[t])
-        j = max((t for t in range(len(ms)) if t != i), key=lambda t: ms[t])
-        kappa = ms[i] ** 2 + ms[j] ** 2
+        kappa = ms[0] ** 2 + ms[1] ** 2
         if kappa == 0:
             raise RecursionFailure(f"four-divisor relation degenerates at {c}")
         total = 0
@@ -293,8 +348,8 @@ class _BlowupComputer:
             dot = self._dot(c1, c2)
             if dot == 0:
                 continue
-            pi1, pj1 = c1[1 + i], c1[1 + j]  # beta_1 . E_i, beta_1 . E_j
-            pi2, pj2 = c2[1 + i], c2[1 + j]
+            pi1, pj1 = c1[1], c1[2]  # beta_1 . E_1, beta_1 . E_2
+            pi2, pj2 = c2[1], c2[2]
             delta1 = self._degree(c1) - 1
             total += (
                 binomial(delta - 1, delta1)
@@ -310,20 +365,16 @@ class _BlowupComputer:
 
     def _cremona(self, c: Coeffs) -> int:
         # Quadratic transformation based at the three points of largest
-        # multiplicity; the counts are invariant under it.
-        d, ms = c[0], list(c[1:])
+        # multiplicity (the first three of the representative); the counts
+        # are invariant under it.
+        d, ms = c[0], c[1:]
         if len(ms) < 3:
             raise RecursionFailure(f"no reduction applies to {c}")
-        order = sorted(range(len(ms)), key=lambda t: ms[t], reverse=True)
-        a, b, e = order[:3]
-        if ms[a] + ms[b] + ms[e] <= d:
+        a, b, e = ms[:3]
+        if a + b + e <= d:
             raise RecursionFailure(f"quadratic transformation stalls on {c}")
-        image = list(ms)
-        image[a] = d - ms[b] - ms[e]
-        image[b] = d - ms[a] - ms[e]
-        image[e] = d - ms[a] - ms[b]
-        new_d = 2 * d - ms[a] - ms[b] - ms[e]
-        return self.value((new_d, *image))
+        image = (2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *ms[3:])
+        return self.value(image)
 
 
 class _QuadricComputer:
@@ -410,7 +461,11 @@ class GwTable:
     """A persistent memo of genus-zero counts for one surface.
 
     ``entries`` holds the nonzero counts discovered so far; zero results
-    are implicit.  Tables round-trip through the JSON cache files.
+    are implicit.  On blow-ups the computed entries are orbit
+    representatives ``(d, m_1 >= ... >= m_k)``: a count is the same for
+    every permutation of the points, so one member stands for the orbit,
+    and the memo is seeded by orbit, so entries listing other members load
+    as well.  Tables round-trip through the JSON cache files.
     """
 
     surface: Surface
@@ -510,6 +565,8 @@ def support_enumerate(
 
 
 def save_cache(table: GwTable, path: str | Path) -> None:
+    """Write the table atomically: the file at ``path`` is either the old one
+    or the complete new one, never a torn mix, also under concurrent runs."""
     rows = sorted(table.entries.items(), key=lambda item: item[0].coeffs)
     document = {
         "version": table.version,
@@ -518,7 +575,16 @@ def save_cache(table: GwTable, path: str | Path) -> None:
             {"class": list(cls.coeffs), "n0": str(value)} for cls, value in rows
         ],
     }
-    Path(path).write_text(json.dumps(document, separators=(",", ":")) + "\n")
+    target = Path(path)
+    # One writer per process and thread at a time, so the name is its own.
+    writer = f"{os.getpid()}.{threading.get_ident()}"
+    partial = target.with_name(f".{target.name}.{writer}.tmp")
+    try:
+        partial.write_text(json.dumps(document, separators=(",", ":")) + "\n")
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path: str | Path) -> GwTable:
@@ -541,6 +607,7 @@ def load_cache(path: str | Path) -> GwTable:
     except (InvalidClass, TypeError) as exc:
         raise CacheFormatError(f"cache file {path}: {exc}") from exc
     entries: dict[CurveClass, int] = {}
+    orbits: dict[Coeffs, int] = {}
     rows = document["entries"]
     if not isinstance(rows, list):
         raise CacheFormatError(f"cache file {path}: entries must be a list")
@@ -566,5 +633,14 @@ def load_cache(path: str | Path) -> GwTable:
             raise CacheFormatError(
                 f"cache file {path}: bad decimal string {raw!r}"
             ) from None
+        if surface.is_blowup:
+            # Counts are invariant under permuting the points, and the memo
+            # is seeded by orbit: conflicting members would make one win.
+            key = _orbit_key(tuple(vector))
+            if orbits.setdefault(key, value) != value:
+                raise CacheFormatError(
+                    f"cache file {path}: class {vector} has count {value}, but"
+                    f" a permutation of it has {orbits[key]}"
+                )
         entries[CurveClass(tuple(vector))] = value
     return GwTable(surface=surface, entries=entries)

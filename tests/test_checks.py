@@ -1,8 +1,11 @@
 """Consistency-check suite: structure, determinism, and verdicts."""
 
+from collections import Counter
+
 import pytest
 
-from delpezzo.checks import CheckResult, render_text, run_suite
+from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
+from delpezzo.genus0 import support_pairs
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +91,19 @@ def test_json_shape(all_results):
 def test_failure_renders_as_fail():
     result = CheckResult("demo", "fail", "0", "1", "demo")
     assert "FAIL" in render_text([result])
+
+
+def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
+    # One walk for the genus-two quantities, one for the swap-symmetry test.
+    walks = Counter()
+
+    def counting(surface, beta, table=None):
+        walks[(surface.descriptor, beta)] += 1
+        yield from support_pairs(surface, beta, table)
+
+    monkeypatch.setattr("delpezzo.genus2.support_pairs", counting)
+    [result] = _check_sweep("blowups")
+    assert result.status == "pass"
+    assert "247 classes examined" in result.justification
+    assert len(walks) == 247
+    assert max(walks.values()) <= 2

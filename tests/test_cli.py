@@ -194,6 +194,19 @@ def test_computation_error_is_exit_2(capsys):
     assert err.startswith("delpezzo: error:")
 
 
+def test_deep_recursion_is_exit_2_without_traceback(tmp_path, capsys):
+    # A fresh table, so no memo left by other tests makes the chain shorter.
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=0", "--class", "400",
+        "--cache", str(tmp_path / "plane.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("delpezzo: error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # -- check ----------------------------------------------------------------
 
 
@@ -258,6 +271,22 @@ def test_corrupt_cache_is_advisory(tmp_path, capsys):
     assert "ignoring unreadable cache" in err
     # and the file was rebuilt into a valid cache
     assert json.loads(cache.read_text())["surface"] == "blp2:k=0"
+
+
+def test_orbit_inconsistent_cache_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "k2.json"
+    cache.write_text(
+        '{"version":1,"surface":"blp2:k=2","entries":['
+        '{"class":[4,1,2],"n0":"95"},{"class":[4,2,1],"n0":"96"}]}'
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "4,1,2",
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "96\n"
+    assert "ignoring unreadable cache" in err
+    assert '"n0":"95"' not in cache.read_text()
 
 
 def test_foreign_cache_is_protected(tmp_path, capsys):

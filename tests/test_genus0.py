@@ -9,9 +9,15 @@ the frozen rows.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +26,14 @@ from hypothesis import strategies as st
 from delpezzo.errors import CacheFormatError, InvalidClass, SurfaceMismatch
 from delpezzo.genus0 import (
     GwTable,
+    _BlowupComputer,
     load_cache,
     n0,
     save_cache,
     support_enumerate,
     support_pairs,
 )
+from delpezzo.genus2 import genus2_report
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
 
 
@@ -236,6 +244,70 @@ def test_support_enumerate_quadric():
     assert rows[CurveClass((1, 1))] == 1
 
 
+# The brute-force candidate box the engine used before it enumerated one
+# multiplicity tuple per point-permutation orbit: every tuple in [0, d]^k
+# with the right sum and genus budget, in lexicographic order.
+
+
+def box_multiplicities(total, slots, hi, cap):
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    lo = max(0, total - (slots - 1) * hi)
+    for m in range(lo, min(hi, total) + 1):
+        used = m * (m - 1)
+        if used > cap:
+            break
+        for rest in box_multiplicities(total - m, slots - 1, hi, cap - used):
+            yield (m,) + rest
+
+
+def box_candidates(k, degree):
+    out = []
+    if k == 0:
+        if degree % 3 == 0 and degree >= 3:
+            out.append((degree // 3,))
+        return out
+    if degree == 1:
+        for i in range(k):
+            out.append((0,) + tuple(-1 if j == i else 0 for j in range(k)))
+    disc = 9 * degree * degree - (9 - k) * (degree * degree + k * degree - 2 * k)
+    if disc < 0:
+        return out
+    d_lo = max(1, (degree + 2) // 3)
+    d_hi = (3 * degree + math.isqrt(disc)) // (9 - k)
+    for d in range(d_lo, d_hi + 1):
+        target = 3 * d - degree
+        if target < 0 or target > k * d:
+            continue
+        for ms in box_multiplicities(target, k, d, (d - 1) * (d - 2)):
+            out.append((d,) + ms)
+    return out
+
+
+# Largest anticanonical degree per k; the box needs about 2 s for all of them.
+BOX_LIMITS = {0: 40, 1: 30, 2: 24, 3: 18, 4: 14, 5: 10, 6: 7, 7: 4, 8: 2}
+
+
+@pytest.mark.parametrize("k", sorted(BOX_LIMITS))
+def test_orbit_candidates_match_the_box(k):
+    for degree in range(1, BOX_LIMITS[k] + 1):
+        assert _BlowupComputer._candidates(k, degree) == box_candidates(k, degree)
+
+
+def test_blowup_memo_holds_orbit_representatives():
+    surface = Surface.blowup(4)
+    table = GwTable(surface=surface)
+    support_enumerate(surface, 10, table)
+    memo = table._computer().memo
+    assert len(memo) > 100
+    for coeffs in memo:
+        assert list(coeffs[1:]) == sorted(coeffs[1:], reverse=True)
+    assert all(list(c.coeffs[1:]) == sorted(c.coeffs[1:], reverse=True)
+               for c in table.entries)
+
+
 def test_support_classes_are_geometric():
     for surface in (Surface.blowup(2), QUADRIC):
         for beta, value in support_enumerate(surface, 8):
@@ -305,3 +377,121 @@ def test_cache_corrupt_files_rejected(tmp_path, payload):
     path.write_text(payload)
     with pytest.raises(CacheFormatError):
         load_cache(path)
+
+
+def permuted_cache(table, path):
+    """A v1 file that lists every permutation of every entry, as written
+    before the memo was keyed by orbit."""
+    rows = sorted(
+        {
+            (c.coeffs[0], *perm): value
+            for c, value in table.entries.items()
+            for perm in itertools.permutations(c.coeffs[1:])
+        }.items()
+    )
+    document = {
+        "version": 1,
+        "surface": table.surface.descriptor,
+        "entries": [{"class": list(c), "n0": str(value)} for c, value in rows],
+    }
+    path.write_text(json.dumps(document, separators=(",", ":")) + "\n")
+    return len(rows)
+
+
+def test_permuted_v1_cache_matches_a_cold_table(tmp_path):
+    surface = Surface.blowup(3)
+    source = GwTable(surface=surface)
+    support_enumerate(surface, 9, source)
+    path = tmp_path / "permuted.json"
+    assert permuted_cache(source, path) > len(source.entries)
+
+    warm, cold = load_cache(path), GwTable(surface=surface)
+    assert support_enumerate(surface, 11, warm) == support_enumerate(surface, 11, cold)
+    for coeffs in [(5, 2, 1, 0), (5, 0, 1, 2), (6, 1, 3, 2), (7, 2, 2, 3), (4, 0, 0, 1)]:
+        beta = CurveClass(coeffs)
+        assert n0(surface, beta, warm) == n0(surface, beta, cold)
+        assert (genus2_report(surface, beta, warm).to_json_dict()
+                == genus2_report(surface, beta, cold).to_json_dict())
+
+
+def test_orbit_inconsistent_cache_rejected(tmp_path):
+    path = tmp_path / "poisoned.json"
+    path.write_text(
+        '{"version":1,"surface":"blp2:k=2","entries":['
+        '{"class":[4,1,2],"n0":"95"},{"class":[4,2,1],"n0":"96"}]}'
+    )
+    with pytest.raises(CacheFormatError, match="permutation"):
+        load_cache(path)
+
+
+def _saved_table(tmp_path):
+    surface = Surface.blowup(2)
+    table = GwTable(surface=surface)
+    n0(surface, CurveClass((4, 2, 1)), table)
+    path = tmp_path / "k2.json"
+    save_cache(table, path)
+    n0(surface, CurveClass((5, 2, 2)), table)  # the next save would differ
+    return table, path, path.read_bytes()
+
+
+def test_save_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    table, path, before = _saved_table(tmp_path)
+    real_write = Path.write_text
+
+    def torn_write(self, data, *args, **kwargs):
+        real_write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        save_cache(table, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
+    table, path, before = _saved_table(tmp_path)
+
+    def failing_replace(src, dst):
+        raise OSError(1, "Operation not permitted")
+
+    monkeypatch.setattr("delpezzo.genus0.os.replace", failing_replace)
+    with pytest.raises(OSError):
+        save_cache(table, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == [path.name]
+    monkeypatch.undo()
+    save_cache(table, path)
+    assert path.read_bytes() != before
+    assert load_cache(path) == table
+
+
+def test_concurrent_saves_leave_a_whole_file(tmp_path):
+    small, large = GwTable(surface=Surface.blowup(2)), GwTable(surface=Surface.blowup(2))
+    n0(small.surface, CurveClass((3, 1, 1)), small)
+    n0(large.surface, CurveClass((5, 2, 2)), large)
+    path = tmp_path / "shared.json"
+    errors = []
+
+    def writer(table):
+        try:
+            for _ in range(25):
+                save_cache(table, path)
+                assert load_cache(path) in (small, large)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in (small, large) * 3]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert load_cache(path) in (small, large)
+    assert os.listdir(tmp_path) == [path.name]
