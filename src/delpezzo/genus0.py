@@ -51,11 +51,19 @@ classes are enumerated the same way, one non-increasing multiplicity tuple
 per orbit, and then expanded into all permutations, because splittings
 need every member.
 
-Splitting sums run over per-degree support lists (classes with nonzero
-count, built in order of anticanonical degree), which keeps the recursion
-polynomial instead of scanning the whole candidate box each time.  All
-divisions are exact and asserted; a failed division or a stalled reduction
-raises RecursionFailure instead of returning a wrong number.
+Splitting sums run over support levels: for each rank and anticanonical
+degree, the classes with nonzero count, bucketed by line degree and built
+in order of anticanonical degree.  Anticanonical and line degree are both
+additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket of line
+degree ``e`` in level ``D1`` only with the bucket of line degree
+``d - e`` in level ``D - D1``, and the complement's count is one lookup
+there.  A complement missing from its bucket has count zero: the
+candidates of a level contain every class that can carry curves (the
+exceptional classes and the classes with ``0 <= m_i <= d`` and
+nonnegative arithmetic genus), so each level holds every nonzero class of
+its degree.  All divisions are exact and asserted; a failed division or a
+stalled reduction raises RecursionFailure instead of returning a wrong
+number.
 """
 
 from __future__ import annotations
@@ -66,7 +74,9 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb, isqrt
+from operator import sub
 from pathlib import Path
 from typing import Iterator
 
@@ -152,14 +162,19 @@ class _BlowupComputer:
     (length k+1 on k points), so the coefficient-dropping reductions can
     reuse one memo across ranks.  Everything past ``value`` (the reduction
     pipeline, the relations and Cremona) only ever sees representatives.
+
+    ``support`` maps ``(k, anticanonical degree)`` to that level's classes
+    with nonzero count, every permutation listed, bucketed by line degree:
+    ``{d: {coeffs: count}}``.  ``ensure`` fills the levels in order of
+    degree, ``pairs`` joins two levels on the line degree and
+    ``support_enumerate`` reads them; nothing else stores the support.
     """
 
     def __init__(self, seed: dict[Coeffs, int] | None = None) -> None:
         self.memo: dict[Coeffs, int] = {
             _orbit_key(c): v for c, v in (seed or {}).items()
         }
-        # (k, anticanonical degree) -> [(coeffs, count), ...], nonzero only
-        self.support: dict[tuple[int, int], list[tuple[Coeffs, int]]] = {}
+        self.support: dict[tuple[int, int], dict[int, dict[Coeffs, int]]] = {}
         self.ensured: dict[int, int] = {}
 
     # -- public ------------------------------------------------------------
@@ -174,27 +189,42 @@ class _BlowupComputer:
         return result
 
     def pairs(self, c: Coeffs) -> Iterator[tuple[Coeffs, int, Coeffs, int]]:
-        """Ordered splittings of ``c`` into two classes with nonzero counts."""
+        """Ordered splittings of ``c`` into two classes with nonzero counts.
+
+        A join of two support levels on the line degree (see the module
+        docstring): the smaller of two matching buckets is walked and each
+        complement is one lookup in the other.
+        """
         k = len(c) - 1
         degree = self._degree(c)
         self.ensure(k, degree - 1)
-        for d1 in range(1, degree):
-            for c1, n1 in self.support[(k, d1)]:
-                c2 = tuple(a - b for a, b in zip(c, c1))
-                n2 = self.value(c2)
-                if n2:
-                    yield c1, n1, c2, n2
+        d = c[0]
+        for degree1 in range(1, degree):
+            partners = self.support[(k, degree - degree1)]
+            for e, bucket in self.support[(k, degree1)].items():
+                others = partners.get(d - e)
+                if not others:
+                    continue
+                if len(bucket) <= len(others):
+                    for c1, n1 in bucket.items():
+                        c2 = tuple(map(sub, c, c1))
+                        if n2 := others.get(c2):
+                            yield c1, n1, c2, n2
+                else:
+                    for c2, n2 in others.items():
+                        c1 = tuple(map(sub, c, c2))
+                        if n1 := bucket.get(c1):
+                            yield c1, n1, c2, n2
 
     def ensure(self, k: int, bound: int) -> None:
-        """Fill the support lists of rank ``k`` up to anticanonical degree ``bound``."""
+        """Fill the support levels of rank ``k`` up to anticanonical degree ``bound``."""
         done = self.ensured.get(k, 0)
         for degree in range(done + 1, bound + 1):
-            rows = [
-                (cand, v)
-                for cand in self._candidates(k, degree)
-                if (v := self.value(cand))
-            ]
-            self.support[(k, degree)] = rows
+            level: dict[int, dict[Coeffs, int]] = {}
+            for cand in self._candidates(k, degree):
+                if v := self.value(cand):
+                    level.setdefault(cand[0], {})[cand] = v
+            self.support[(k, degree)] = level
             self.ensured[k] = degree
 
     # -- helpers -----------------------------------------------------------
@@ -485,14 +515,20 @@ class GwTable:
         return comp
 
     def _harvest(self) -> None:
-        """Pull every nonzero count of the right rank out of the memo."""
+        """Pull the nonzero counts of the right rank out of the memo.
+
+        The memo only grows, in insertion order, so only the entries added
+        since the last harvest are read.
+        """
         comp = self.__dict__.get("_comp")
         if comp is None:
             return
-        rank = self.surface.rank
-        for coeffs, value in comp.memo.items():
+        memo, rank = comp.memo, self.surface.rank
+        start = self.__dict__.get("_harvested", 0)
+        for coeffs, value in islice(memo.items(), start, None):
             if value and len(coeffs) == rank:
                 self.entries[CurveClass(coeffs)] = value
+        self.__dict__["_harvested"] = len(memo)
 
 
 def _resolve(surface: Surface, table: GwTable | None):
@@ -544,9 +580,8 @@ def support_enumerate(
     if surface.is_blowup:
         comp.ensure(surface.k, max_anticanonical_degree)
         for degree in range(1, max_anticanonical_degree + 1):
-            rows.extend(
-                (CurveClass(c), v) for c, v in comp.support[(surface.k, degree)]
-            )
+            for bucket in comp.support[(surface.k, degree)].values():
+                rows.extend((CurveClass(c), v) for c, v in bucket.items())
     else:
         comp.ensure(max_anticanonical_degree)
         for degree in range(1, max_anticanonical_degree + 1):

@@ -26,11 +26,9 @@ Surfaces and classes are immutable values; all operations are pure.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import InvalidClass, RankMismatch, RankOverflow
 from .numerics import to_integer
@@ -217,59 +215,6 @@ class Surface:
         self.check_class(beta)
         bigger = Surface.blowup(self.k + 1)
         return bigger, CurveClass(beta.coeffs + (-sigma,))
-
-    # -- splittings --------------------------------------------------------
-
-    def _is_exceptional_type(self, beta: CurveClass) -> bool:
-        coeffs = beta.coeffs
-        return (
-            coeffs[0] == 0
-            and sum(1 for m in coeffs[1:] if m == -1) == 1
-            and all(m in (0, -1) for m in coeffs[1:])
-        )
-
-    def _admissible_part(self, beta: CurveClass) -> bool:
-        # A part of a splitting can only carry curves if it is some E_i or
-        # has positive line degree; everything else contributes zero.
-        if self.is_quadric:
-            return True
-        return beta.coeffs[0] >= 1 or self._is_exceptional_type(beta)
-
-    def splittings(self, beta: CurveClass) -> Iterator[tuple[CurveClass, CurveClass]]:
-        """All ordered pairs ``(beta1, beta2)`` with ``beta1 + beta2 = beta``.
-
-        Both parts are nonzero and drawn from a finite candidate box that
-        provably contains every class with a nonzero genus-zero count
-        (irreducible rational curves have ``0 <= m_i <= d`` except for the
-        exceptional classes themselves).  Callers discard the remaining
-        pairs by multiplying with vanishing counts.
-        """
-        self.check_class(beta)
-        if self.is_quadric:
-            a, b = beta.coeffs
-            for a1 in range(0, a + 1):
-                for b1 in range(0, b + 1):
-                    beta1 = CurveClass((a1, b1))
-                    beta2 = CurveClass((a - a1, b - b1))
-                    if beta1.is_zero or beta2.is_zero:
-                        continue
-                    yield beta1, beta2
-            return
-        d = beta.coeffs[0]
-        ms = beta.coeffs[1:]
-        for d1 in range(0, d + 1):
-            ranges: list[Iterable[int]] = [
-                [-1] + list(range(0, max(d1, m + 1) + 1)) for m in ms
-            ]
-            for m1s in itertools.product(*ranges):
-                beta1 = CurveClass((d1,) + m1s)
-                if beta1.is_zero:
-                    continue
-                beta2 = beta - beta1
-                if beta2.is_zero:
-                    continue
-                if self._admissible_part(beta1) and self._admissible_part(beta2):
-                    yield beta1, beta2
 
 
 def quadric_to_blowup_class(beta: CurveClass) -> CurveClass:

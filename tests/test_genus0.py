@@ -9,6 +9,7 @@ the frozen rows.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -35,6 +36,7 @@ from delpezzo.genus0 import (
 )
 from delpezzo.genus2 import genus2_report
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from splitting_box import splittings
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +198,89 @@ def test_cross_model_small():
 
 
 def test_support_pairs_agree_with_splittings_box():
-    # The engine sums over its support lists; the lattice module enumerates
-    # a brute-force candidate box.  Filtered by nonzero counts they must
-    # produce identical ordered pairs.
+    # The engine joins its support levels on the line degree; the oracle
+    # enumerates a brute-force candidate box.  Filtered by nonzero counts
+    # they must produce identical ordered pairs and counts, on a fresh
+    # table and on the shared memo.
     cases = [
         (Surface.blowup(2), CurveClass((2, 1, 1))),
         (Surface.blowup(2), CurveClass((3, 1, 1))),
         (Surface.blowup(1), CurveClass((3, 1))),
         (QUADRIC, CurveClass((2, 2))),
+        (Surface.blowup(3), CurveClass((4, 2, 1, 1))),
+        (Surface.blowup(3), CurveClass((3, 0, 1, 1))),
+        (Surface.blowup(4), CurveClass((5, 2, 2, 1, 1))),
+        (Surface.blowup(4), CurveClass((4, 2, 0, 1, 1))),
     ]
+    exceptional_parts = 0
     for surface, beta in cases:
-        from_box = {
-            (b1.coeffs, b2.coeffs)
-            for b1, b2 in surface.splittings(beta)
-            if n0(surface, b1) != 0 and n0(surface, b2) != 0
-        }
-        from_support = {
-            (b1.coeffs, b2.coeffs) for b1, n1, b2, n2 in support_pairs(surface, beta)
-        }
-        assert from_support == from_box
+        for table in (GwTable(surface=surface), None):
+            from_box = set()
+            for b1, b2 in splittings(surface, beta):
+                n1, n2 = n0(surface, b1, table), n0(surface, b2, table)
+                if n1 and n2:
+                    from_box.add((b1.coeffs, n1, b2.coeffs, n2))
+            from_support = [
+                (b1.coeffs, n1, b2.coeffs, n2)
+                for b1, n1, b2, n2 in support_pairs(surface, beta, table)
+            ]
+            assert len(from_support) == len(set(from_support))
+            assert set(from_support) == from_box
+            exceptional_parts += sum(1 for c1, *_ in from_support if c1[0] == 0)
+    assert exceptional_parts > 0
+
+
+def test_warm_splitting_walk_makes_no_value_calls(monkeypatch):
+    surface = Surface.blowup(4)
+    table = GwTable(surface=surface)
+    beta = CurveClass((7, 2, 2, 2, 2))
+    before = list(support_pairs(surface, beta, table))
+    calls = 0
+    real_value = _BlowupComputer.value
+
+    def counting_value(self, c):
+        nonlocal calls
+        calls += 1
+        return real_value(self, c)
+
+    monkeypatch.setattr(_BlowupComputer, "value", counting_value)
+    assert list(support_pairs(surface, beta, table)) == before
+    assert len(before) > 100
+    assert calls == 0
+
+
+# sha256 of repr([(coeffs, count), ...]) for blp2:k=4 up to anticanonical
+# degree 13, as computed by the engine that scanned every lower-degree
+# support row and evaluated each complement.
+K4_N13_ROWS_SHA256 = "48e6a85b3aad20c9c626a1e30e50174b2e4c99f25170b820e3bc75626e20eb6c"
+
+
+def test_cold_support_rows_match_the_scanning_engine():
+    surface = Surface.blowup(4)
+    rows = support_enumerate(surface, 13, GwTable(surface=surface))
+    digest = hashlib.sha256(repr([(c.coeffs, v) for c, v in rows]).encode())
+    assert len(rows) == 1457
+    assert digest.hexdigest() == K4_N13_ROWS_SHA256
+
+
+def test_incremental_harvest_matches_a_full_scan(tmp_path):
+    surface = Surface.blowup(3)
+    source = GwTable(surface=surface)
+    support_enumerate(surface, 7, source)
+    path = tmp_path / "permuted.json"
+    permuted_cache(source, path)
+    for table in (GwTable(surface=surface), load_cache(path)):
+        full = dict(table.entries)
+        n0(surface, CurveClass((4, 2, 1, 1)), table)
+        list(support_pairs(surface, CurveClass((5, 2, 2, 1)), table))
+        support_enumerate(surface, 9, table)
+        n0(surface, CurveClass((7, 3, 3, 2)), table)
+        list(support_pairs(surface, CurveClass((6, 3, 2, 2)), table))
+        support_enumerate(surface, 11, table)
+        for coeffs, value in table._computer().memo.items():
+            if value and len(coeffs) == surface.rank:
+                full[CurveClass(coeffs)] = value
+        assert list(table.entries.items()) == list(full.items())
 
 
 # ---------------------------------------------------------------------------

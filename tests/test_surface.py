@@ -1,4 +1,4 @@
-"""Lattice layer: classes, pairings, descriptors, splittings."""
+"""Lattice layer: classes, pairings, descriptors, and the splitting oracle."""
 
 import pytest
 from hypothesis import assume, given
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from delpezzo.errors import InvalidClass, RankMismatch, RankOverflow
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from splitting_box import splittings
 
 PLANE = Surface.blowup(0)
 ONE = Surface.blowup(1)
@@ -187,14 +188,14 @@ def test_append_coefficient_guards():
         full.append_coefficient(CurveClass((3,) + (1,) * 8), sigma=0)
 
 
-# -- splittings ---------------------------------------------------------------
+# -- the brute-force splitting oracle (splitting_box.py) ---------------------
 
 
 def test_plane_splittings():
-    assert list(PLANE.splittings(CurveClass((2,)))) == [
+    assert list(splittings(PLANE, CurveClass((2,)))) == [
         (CurveClass((1,)), CurveClass((1,)))
     ]
-    cubic_pairs = set(PLANE.splittings(CurveClass((3,))))
+    cubic_pairs = set(splittings(PLANE, CurveClass((3,))))
     assert cubic_pairs == {
         (CurveClass((1,)), CurveClass((2,))),
         (CurveClass((2,)), CurveClass((1,))),
@@ -202,7 +203,7 @@ def test_plane_splittings():
 
 
 def test_blowup_splittings_include_exceptional_parts():
-    pairs = set(ONE.splittings(CurveClass((2, 1))))
+    pairs = set(splittings(ONE, CurveClass((2, 1))))
     assert (CurveClass((0, -1)), CurveClass((2, 2))) in pairs
     assert (CurveClass((1, 1)), CurveClass((1, 0))) in pairs
     for b1, b2 in pairs:
@@ -211,7 +212,7 @@ def test_blowup_splittings_include_exceptional_parts():
 
 
 def test_quadric_splittings():
-    pairs = set(QUADRIC.splittings(CurveClass((1, 1))))
+    pairs = set(splittings(QUADRIC, CurveClass((1, 1))))
     assert pairs == {
         (CurveClass((1, 0)), CurveClass((0, 1))),
         (CurveClass((0, 1)), CurveClass((1, 0))),
@@ -226,7 +227,7 @@ def test_quadric_splittings():
 def test_splitting_delta_additivity(d, m1, m2):
     beta = CurveClass((d, m1, m2))
     assume(TWO.delta(beta) >= 1)
-    for b1, b2 in TWO.splittings(beta):
+    for b1, b2 in splittings(TWO, beta):
         assert TWO.delta(b1) + TWO.delta(b2) == TWO.delta(beta) - 1
 
 
