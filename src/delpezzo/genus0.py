@@ -408,11 +408,17 @@ class _BlowupComputer:
 
 
 class _QuadricComputer:
-    """Counts on the quadric; bidegree tuples (a, b)."""
+    """Counts on the quadric; bidegree tuples (a, b).
+
+    ``support`` maps each anticanonical degree ``D`` to that level's
+    bidegrees with nonzero count, ``{coeffs: count}``.  Level ``D`` holds
+    every nonzero bidegree ``(a, D/2 - a)``, so a splitting looks each
+    complement up in its level and a missing one counts zero.
+    """
 
     def __init__(self, seed: dict[Coeffs, int] | None = None) -> None:
         self.memo: dict[Coeffs, int] = dict(seed or {})
-        self.support: dict[int, list[tuple[Coeffs, int]]] = {}
+        self.support: dict[int, dict[Coeffs, int]] = {}
         self.ensured = 0
 
     def value(self, c: Coeffs) -> int:
@@ -424,23 +430,28 @@ class _QuadricComputer:
         return result
 
     def pairs(self, c: Coeffs) -> Iterator[tuple[Coeffs, int, Coeffs, int]]:
-        degree = 2 * (c[0] + c[1])
+        """Ordered splittings of ``c`` into two bidegrees with nonzero counts.
+
+        Level ``D1`` is walked only over the first coordinates ``a1`` that
+        leave a nonnegative complement, in increasing ``a1``, and each
+        complement is one lookup in level ``D - D1``.
+        """
+        a, b = c
+        degree = 2 * (a + b)
         self.ensure(degree - 1)
-        for d1 in range(1, degree):
-            for c1, n1 in self.support[d1]:
-                c2 = (c[0] - c1[0], c[1] - c1[1])
-                n2 = self.value(c2)
-                if n2:
+        for d1 in range(2, degree, 2):
+            half1 = d1 // 2
+            level1, level2 = self.support[d1], self.support[degree - d1]
+            for a1 in range(max(0, half1 - b), min(a, half1) + 1):
+                c1, c2 = (a1, half1 - a1), (a - a1, b - half1 + a1)
+                if (n1 := level1.get(c1)) and (n2 := level2.get(c2)):
                     yield c1, n1, c2, n2
 
     def ensure(self, bound: int) -> None:
         for degree in range(self.ensured + 1, bound + 1):
-            rows = [
-                (cand, v)
-                for cand in self._candidates(degree)
-                if (v := self.value(cand))
-            ]
-            self.support[degree] = rows
+            self.support[degree] = {
+                cand: v for cand in self._candidates(degree) if (v := self.value(cand))
+            }
             self.ensured = degree
 
     @staticmethod
@@ -585,7 +596,7 @@ def support_enumerate(
     else:
         comp.ensure(max_anticanonical_degree)
         for degree in range(1, max_anticanonical_degree + 1):
-            rows.extend((CurveClass(c), v) for c, v in comp.support[degree])
+            rows.extend((CurveClass(c), v) for c, v in comp.support[degree].items())
     if table is not None:
         table._harvest()
     rows.sort(key=lambda row: row[0].coeffs)

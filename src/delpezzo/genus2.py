@@ -45,12 +45,15 @@ curve over the space of rational curves, and the correction components
 that it vanishes.  In the moment basis ``S0`` and ``S2`` cancel, which
 leaves ``residual_proof = -4 taut`` and ``residual_lemma = -4 taut +
 (2 x1^2 - 2 x2) n0`` for every class; on the plane conic the residuals are
-``(24, 12)``, pinned as a regression value.
+``(24, 12)``, pinned as a regression value.  The consistency suite
+asserts the proof-form identity ``rt2 = cr_proof + 2 n2j - 4 taut`` on
+every class of its sweep (``reconcile-identity-*``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -84,20 +87,31 @@ def _pair_terms(
 ) -> Iterator[tuple[CurveClass, CurveClass, tuple[int, int, int]]]:
     """The summands of ``S0, S1, S2`` for each ordered splitting of ``beta``:
     ``(beta1, beta2, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with
-    ``t0 = w n1 n2 (b1.b2)``."""
-    delta = surface.delta(beta)
+    ``t0 = w n1 n2 (b1.b2)``.
+
+    ``beta`` is validated once per call.  The parts come from the genus-zero
+    engine, which only builds classes of the surface's rank, so each pair's
+    ``b1.b2``, ``deg1 = x1.b1``, ``b1^2`` and ``b2^2`` are read off the
+    coefficient tuples with the unchecked pairing ``Surface._dot``.  The rest
+    follows from additivity of the degree: ``deg2 = deg - deg1`` and
+    ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``.
+    """
+    deg = surface.anticanonical_degree(beta)
+    x1 = surface.anticanonical.coeffs
+    dot = surface._dot
     for beta1, count1, beta2, count2 in support_pairs(surface, beta, table):
-        weight = binomial(delta - 1, surface.delta(beta1))
-        t0 = weight * count1 * count2 * surface.intersect(beta1, beta2)
-        degs = surface.anticanonical_degree(beta1) * surface.anticanonical_degree(beta2)
-        squares = surface.self_intersection(beta1) * surface.self_intersection(beta2)
-        yield beta1, beta2, (t0, t0 * degs, t0 * squares)
+        u, v = beta1.coeffs, beta2.coeffs
+        deg1 = dot(x1, u)
+        t0 = binomial(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
+        yield beta1, beta2, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
 
 
 @dataclass(frozen=True)
 class _Moments:
     """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
-    the formulas of the module docstring read; one method per quantity."""
+    the formulas of the module docstring read; one member per quantity.
+    ``taut``, ``cusp`` and ``two_comp`` are cached on first use, because
+    the correction totals of both variants read them again."""
 
     beta: CurveClass
     deg: int  # beta . x1
@@ -113,9 +127,11 @@ class _Moments:
     def rt2(self) -> int:
         return (4 + 2 * self.b2) * self.n0 * self.sq + self.s2
 
+    @cached_property
     def taut(self) -> ExactRatio:
         return Fraction(self.x1sq, self.deg) * self.n0 - Fraction(self.s1, 2 * self.deg)
 
+    @cached_property
     def cusp(self) -> int:
         total = (
             (self.x2 - Fraction(self.x1sq, self.deg)) * self.n0
@@ -127,6 +143,7 @@ class _Moments:
             raise NegativeCount(f"cusp count of {self.beta} came out {value}")
         return value
 
+    @cached_property
     def two_comp(self) -> int:
         return to_integer(
             Fraction(self.s0, 2), context=f"two-component count of {self.beta}"
@@ -134,20 +151,19 @@ class _Moments:
 
     def n11(self, variant: str) -> ExactRatio:
         if variant == "lemma":
-            return 2 * self.taut()
+            return 2 * self.taut
         if variant == "proof":
             # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
             # the evaluation term against the diagonal cycle vanishes identically.
-            return 2 * self.taut() + (2 * self.x1sq - 2 * self.x2) * self.n0
+            return 2 * self.taut + (2 * self.x1sq - 2 * self.x2) * self.n0
         raise InvalidClass(f"unknown correction variant {variant!r}")
 
     def cr(self, variant: str) -> CrComponents:
-        cusp = self.cusp()
         return CrComponents(
             n11=self.n11(variant),
-            n21x2=4 * cusp,
-            n31x18=18 * cusp,
-            n12=4 * self.two_comp(),
+            n21x2=4 * self.cusp,
+            n31x18=18 * self.cusp,
+            n12=4 * self.two_comp,
         )
 
     def n2j(self, aut_order: int) -> int:
@@ -165,7 +181,8 @@ class _Moments:
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
     """One ``n0`` call and one splitting pass: everything the genus-two
     quantities of ``beta`` need."""
-    delta = surface.delta(beta)
+    deg = surface.anticanonical_degree(beta)
+    delta = deg - 1
     if delta < 1:
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
@@ -178,7 +195,7 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         s2 += t2
     return _Moments(
         beta=beta,
-        deg=surface.anticanonical_degree(beta),
+        deg=deg,
         sq=surface.self_intersection(beta),
         x1sq=surface.k_squared,
         x2=surface.euler_number,
@@ -202,14 +219,14 @@ def taut_intersection(
     with the anticanonical evaluation cycle, as an exact rational:
     ``x1^2/deg n0 - S1/(2 deg)``.
     """
-    return _moments(surface, beta, table).taut()
+    return _moments(surface, beta, table).taut
 
 
 def cusp_count(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     """Number of rational curves in the class, through ``delta`` generic
     points, that carry a cusp: ``(x2 - x1^2/deg) n0 + S1/(2 deg) - S0``.
     """
-    return _moments(surface, beta, table).cusp()
+    return _moments(surface, beta, table).cusp
 
 
 def two_component_count(
@@ -219,7 +236,7 @@ def two_component_count(
     weighted by the intersection points of the components: ``S0/2``
     (integral by swap symmetry).
     """
-    return _moments(surface, beta, table).two_comp()
+    return _moments(surface, beta, table).two_comp
 
 
 @dataclass(frozen=True)
@@ -433,12 +450,12 @@ def genus2_report(
         surface=surface,
         beta=beta,
         n0=moments.n0,
-        delta=surface.delta(beta),
+        delta=moments.deg - 1,
         genus=surface.genus(beta),
         rt2=moments.rt2(),
-        taut=moments.taut(),
-        cusp=moments.cusp(),
-        two_comp=moments.two_comp(),
+        taut=moments.taut,
+        cusp=moments.cusp,
+        two_comp=moments.two_comp,
         cr_lemma=moments.cr("lemma").total,
         cr_proof=moments.cr("proof").total,
         n2j=moments.n2j(aut_order),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidClass, RankMismatch, RankOverflow
 from .numerics import to_integer
@@ -50,7 +51,7 @@ class CurveClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(int, self.coeffs))
         if not coeffs:
             raise InvalidClass("curve class needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -70,7 +71,7 @@ class CurveClass:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: CurveClass) -> CurveClass:
         if len(self.coeffs) != len(other.coeffs):
@@ -173,12 +174,15 @@ class Surface:
     def intersect(self, beta1: CurveClass, beta2: CurveClass) -> int:
         self.check_class(beta1, allow_zero=True)
         self.check_class(beta2, allow_zero=True)
-        if self.is_blowup:
-            d1, d2 = beta1.coeffs[0], beta2.coeffs[0]
-            return d1 * d2 - sum(m1 * m2 for m1, m2 in zip(beta1.coeffs[1:], beta2.coeffs[1:]))
-        a1, b1 = beta1.coeffs
-        a2, b2 = beta2.coeffs
-        return a1 * b2 + a2 * b1
+        return self._dot(beta1.coeffs, beta2.coeffs)
+
+    def _dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        """The intersection pairing on coefficient tuples, unchecked: the
+        caller guarantees two tuples of this surface's rank."""
+        if self.model == _BLOWUP:
+            # d1 d2 - sum m1 m2 is 2 d1 d2 minus the sum over all coordinates.
+            return 2 * u[0] * v[0] - sum(map(mul, u, v))
+        return u[0] * v[1] + u[1] * v[0]
 
     def self_intersection(self, beta: CurveClass) -> int:
         return self.intersect(beta, beta)

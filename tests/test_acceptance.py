@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from delpezzo.checks import run_suite
 from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import (
     cusp_count,
@@ -215,3 +216,21 @@ def test_criterion_9_fixtures():
     assert rt2(PLANE, cubic, PLANE_TABLE) == 984
     assert taut_intersection(PLANE, conic, PLANE_TABLE) == Fraction(-3)
     assert two_component_count(PLANE, conic, PLANE_TABLE) == 3
+
+
+@criterion(10, "reconcile identity rt2 = cr_proof + 2 n2j - 4 taut over the lattice sweep")
+def test_criterion_10_reconcile_identity():
+    examined = 0
+    for surface, beta, table in _sweep_classes():
+        examined += 1
+        report = reconcile(surface, beta, table, 2)
+        taut = taut_intersection(surface, beta, table)
+        assert report.rt2 == report.cr_proof + report.aut_n2j - 4 * taut, beta
+    assert examined > 40
+    identity = [r for r in run_suite("all") if r.check_id.startswith("reconcile-identity-")]
+    assert [r.check_id for r in identity] == [
+        "reconcile-identity-blowups",
+        "reconcile-identity-plane",
+        "reconcile-identity-quadric",
+    ]
+    assert all(r.status == "pass" for r in identity)

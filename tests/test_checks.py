@@ -33,6 +33,11 @@ def test_expected_checks_present(all_results):
     assert "genus2-blow-down-4L" in ids
     assert "zinger-plane" in ids
     assert {"sweep-plane", "sweep-blowups", "sweep-quadric"} <= ids
+    assert {
+        "reconcile-identity-plane",
+        "reconcile-identity-blowups",
+        "reconcile-identity-quadric",
+    } <= ids
     assert "vanish-blowup-k2-4,2,2" in ids
     assert "vanish-quadric-2,2" in ids
     assert "reconcile-plane-conic" in ids
@@ -61,9 +66,15 @@ def test_scope_filtering():
         "genus0-classical-plane",
         "zinger-plane",
         "sweep-plane",
+        "reconcile-identity-plane",
         "reconcile-plane-conic",
     }
-    assert all(c.startswith(("genus0-cross", "vanish-quadric", "sweep-quadric")) for c in quadric)
+    assert all(
+        c.startswith(
+            ("genus0-cross", "vanish-quadric", "sweep-quadric", "reconcile-identity-quadric")
+        )
+        for c in quadric
+    )
     assert "genus2-blow-down-4L" in blowups
     assert plane | quadric | blowups == {r.check_id for r in run_suite("all")}
 
@@ -102,8 +113,9 @@ def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
         yield from support_pairs(surface, beta, table)
 
     monkeypatch.setattr("delpezzo.genus2.support_pairs", counting)
-    [result] = _check_sweep("blowups")
-    assert result.status == "pass"
+    result, identity = _check_sweep("blowups")
+    assert result.status == identity.status == "pass"
     assert "247 classes examined" in result.justification
+    assert "247 classes examined" in identity.justification
     assert len(walks) == 247
     assert max(walks.values()) <= 2

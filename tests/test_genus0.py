@@ -28,6 +28,7 @@ from delpezzo.errors import CacheFormatError, InvalidClass, SurfaceMismatch
 from delpezzo.genus0 import (
     GwTable,
     _BlowupComputer,
+    _QuadricComputer,
     load_cache,
     n0,
     save_cache,
@@ -246,6 +247,26 @@ def test_warm_splitting_walk_makes_no_value_calls(monkeypatch):
     monkeypatch.setattr(_BlowupComputer, "value", counting_value)
     assert list(support_pairs(surface, beta, table)) == before
     assert len(before) > 100
+    assert calls == 0
+
+
+def test_warm_quadric_splitting_walk_makes_no_value_calls(monkeypatch):
+    table = GwTable(surface=QUADRIC)
+    support_enumerate(QUADRIC, 30, table)
+    assert 0 not in table._computer().memo.values()
+    beta = CurveClass((8, 7))
+    before = list(support_pairs(QUADRIC, beta, table))
+    calls = 0
+    real_value = _QuadricComputer.value
+
+    def counting_value(self, c):
+        nonlocal calls
+        calls += 1
+        return real_value(self, c)
+
+    monkeypatch.setattr(_QuadricComputer, "value", counting_value)
+    assert list(support_pairs(QUADRIC, beta, table)) == before
+    assert len(before) > 40
     assert calls == 0
 
 

@@ -17,6 +17,8 @@ import pytest
 from delpezzo.errors import InvalidClass
 from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import (
+    _moments,
+    _pair_terms,
     applicability_warnings,
     cr_components,
     cr_total,
@@ -323,6 +325,93 @@ def test_splitting_sums_are_termwise_swap_symmetric(surface, coeffs):
         mirrored = table[(b, a)]
         for key, value in terms.items():
             assert mirrored[key] == value
+
+
+def pair_term_oracle(surface, beta, table):
+    """Independent transcription of ``(t0, t0 deg1 deg2, t0 b1^2 b2^2)`` for
+    each ordered pair, through the checked Surface API."""
+    delta = surface.delta(beta)
+    terms = []
+    for b1, c1, b2, c2 in support_pairs(surface, beta, table):
+        t0 = binomial(delta - 1, surface.delta(b1)) * c1 * c2 * surface.intersect(b1, b2)
+        degs = surface.anticanonical_degree(b1) * surface.anticanonical_degree(b2)
+        squares = surface.self_intersection(b1) * surface.self_intersection(b2)
+        terms.append((b1.coeffs, b2.coeffs, (t0, t0 * degs, t0 * squares)))
+    return terms
+
+
+# One class with at least 20 splitting pairs on each surface.
+MANY_PAIRS = [
+    (PLANE, (21,)),
+    (Surface.blowup(1), (8, 3)),
+    (Surface.blowup(2), (5, 1, 2)),
+    (Surface.blowup(3), (4, 1, 1, 1)),
+    (Surface.blowup(4), (4, 0, 1, 1, 2)),
+    (Surface.blowup(5), (3, 0, 0, 1, 1, 1)),
+    (Surface.blowup(6), (3, 0, 0, 1, 1, 1, 1)),
+    (Surface.blowup(7), (3, 0, 0, 1, 1, 1, 1, 1)),
+    (Surface.blowup(8), (3, 0, 0, 1, 1, 1, 1, 1, 1)),
+    (QUADRIC, (6, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "surface, coeffs", MANY_PAIRS, ids=[s.descriptor for s, _ in MANY_PAIRS]
+)
+def test_pair_terms_match_the_surface_api_transcription(surface, coeffs):
+    beta = CurveClass(coeffs)
+    table = GwTable(surface=surface)
+    expected = pair_term_oracle(surface, beta, table)
+    actual = [(b1.coeffs, b2.coeffs, t) for b1, b2, t in _pair_terms(surface, beta, table)]
+    assert len(expected) >= 20
+    assert actual == expected
+
+
+def test_moment_pass_validates_per_class_not_per_pair(monkeypatch):
+    # The parts of a splitting come from the genus-zero engine, already of
+    # the surface's rank: the pass checks beta a fixed number of times.
+    surface = Surface.blowup(4)
+    table = GwTable(surface=surface)
+    small, large = CurveClass((3, 1, 1, 0, 0)), CurveClass((7, 2, 2, 2, 2))
+    sizes = [len(list(support_pairs(surface, beta, table))) for beta in (small, large)]
+    assert sizes[0] < 20 and sizes[1] >= 150
+    calls = []
+    for name in ("check_class", "intersect"):
+        real = getattr(Surface, name)
+
+        def counting(self, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Surface, name, counting)
+    counts = []
+    for beta in (small, large):
+        calls.clear()
+        _moments(surface, beta, table)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 16
+
+
+PINNED = [(PLANE, (2,)), (PLANE, (4,)), (Surface.blowup(2), (4, 1, 1)), (QUADRIC, (3, 3))]
+
+
+@pytest.mark.parametrize("surface, coeffs", PINNED, ids=[str(c) for _, c in PINNED])
+def test_reports_agree_on_empty_and_warm_tables(surface, coeffs):
+    beta = CurveClass(coeffs)
+    warm = GwTable(surface=surface)
+    support_enumerate(surface, 16, warm)
+    for other, _ in support_enumerate(surface, 12, warm):
+        if surface.delta(other) >= 1:
+            genus2_report(surface, other, warm)
+    for aut_order in (2, 4):
+        reports = [
+            (
+                genus2_report(surface, beta, table, aut_order).to_json_dict(),
+                reconcile(surface, beta, table, aut_order).to_json_dict(),
+            )
+            for table in (GwTable(surface=surface), warm, None)
+        ]
+        assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.fixture

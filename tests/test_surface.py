@@ -34,6 +34,18 @@ def test_class_parse_rejects_garbage():
 def test_class_needs_a_coefficient():
     with pytest.raises(InvalidClass):
         CurveClass(())
+    with pytest.raises(InvalidClass):
+        CurveClass([])
+
+
+def test_class_coefficients_normalise_to_an_int_tuple():
+    beta = CurveClass([3, True, False])
+    assert beta.coeffs == (3, 1, 0)
+    assert type(beta.coeffs) is tuple
+    assert all(type(c) is int for c in beta.coeffs)
+    assert beta == CurveClass((3, 1, 0))
+    assert hash(beta) == hash(CurveClass((3, 1, 0)))
+    assert CurveClass([False, 0]).is_zero
 
 
 def test_class_arithmetic():
@@ -151,6 +163,15 @@ def test_pairing_symmetric_and_additive(b1, b2):
     assert TWO.intersect(total, probe) == TWO.intersect(b1, probe) + TWO.intersect(
         b2, probe
     )
+
+
+@given(st.data())
+def test_pairing_matches_the_intersection_form(data):
+    k = data.draw(st.integers(min_value=0, max_value=8))
+    vector = st.tuples(*[st.integers(min_value=-5, max_value=9)] * (k + 1))
+    u, v = data.draw(vector), data.draw(vector)
+    expected = u[0] * v[0] - sum(m1 * m2 for m1, m2 in zip(u[1:], v[1:]))
+    assert Surface.blowup(k).intersect(CurveClass(u), CurveClass(v)) == expected
 
 
 @given(_blowup_class(), _blowup_class())
