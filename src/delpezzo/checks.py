@@ -41,6 +41,7 @@ from .genus2 import (
     plane_genus2_zinger,
     reconcile,
 )
+from .numerics import to_decimal_string
 from .surface import CurveClass, Surface, quadric_to_blowup_class
 
 __all__ = ["CheckResult", "run_suite", "render_text", "SCOPES"]
@@ -184,7 +185,7 @@ def _check_vanish_blowups() -> list[CheckResult]:
             _verdict(
                 f"vanish-blowup-k{k}-{beta}",
                 "0",
-                str(value),
+                to_decimal_string(value),
                 "no immersed genus-two curve exists in a class of genus at"
                 " most one, so the count must vanish even where the"
                 " derivation's positivity hypotheses fail",
@@ -211,7 +212,7 @@ def _check_vanish_quadric() -> list[CheckResult]:
             _verdict(
                 f"vanish-quadric-{beta}",
                 "0",
-                str(value),
+                to_decimal_string(value),
                 "bidegrees (a,0), (a,1) and (2,2) only contain curves of"
                 " genus at most one, so the genus-two count must vanish",
             )
@@ -248,11 +249,12 @@ def _sweep_classes(scope: str):
 
 def _swap_symmetric(surface, beta, table) -> bool:
     # Every splitting summand is a fixed combination of (t0, t1, t2) and each
-    # of those is a summand up to a constant, so comparing them is exact.
+    # of those is a summand up to a constant, so comparing them is exact.  A
+    # pair whose swapped partner is missing is asymmetric too.
     terms = {
         (b1.coeffs, b2.coeffs): t for b1, b2, t in _pair_terms(surface, beta, table)
     }
-    return all(terms[(a, b)] == terms[(b, a)] for (a, b) in terms)
+    return all(terms.get((b, a)) == t for (a, b), t in terms.items())
 
 
 def _check_sweep(scope: str) -> list[CheckResult]:

@@ -52,6 +52,7 @@ from .genus2 import (
     taut_intersection,
     two_component_count,
 )
+from .numerics import to_decimal_string
 from .surface import CurveClass, Surface
 
 __all__ = ["main", "OutputRecord", "CACHE_DIR_ENV"]
@@ -92,7 +93,7 @@ class OutputRecord:
             self.surface,
             ",".join(str(c) for c in self.class_vector),
             self.quantity,
-            str(self.value),
+            to_decimal_string(self.value),
             "; ".join(self.warnings),
             self.time_ms,
         ]
@@ -221,16 +222,16 @@ def _emit_records(records: list[OutputRecord], fmt: str, single: bool) -> None:
         for warning in record.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     if single and len(records) == 1:
-        print(records[0].value)
+        print(to_decimal_string(records[0].value))
     elif single:
         for record in records:
-            print(f"{record.quantity} = {record.value}")
+            print(f"{record.quantity} = {to_decimal_string(record.value)}")
     else:
         width = max((len(",".join(map(str, r.class_vector))) for r in records), default=5)
         print(f"{'class':{width}}  value")
         for record in records:
             vector = ",".join(str(c) for c in record.class_vector)
-            print(f"{vector:{width}}  {record.value}")
+            print(f"{vector:{width}}  {to_decimal_string(record.value)}")
 
 
 def _elapsed_ms(start_ns: int) -> str:

@@ -3,18 +3,12 @@
 The engine computes the number ``n0(beta)`` of irreducible rational curves
 in a class ``beta`` through ``delta(beta)`` generic points.
 
-On the plane it evaluates the classical closed recursion
-
-    n_d = sum_{d1+d2=d} C(3d-2, 3d1-1) d1 d2 n_{d1} n_{d2}
-          (d1 d2 - 2 (d1-d2)^2 / (3d-2)) / (6 (d-1)),       n_1 = 1.
-
-Everywhere else it uses coefficient identities of the genus-zero
-point-insertion potential: associativity of the quantum product (WDVV)
-contracted with two divisors and two point classes, three divisors and one
-point, or four divisors.  Writing ``delta_i`` for ``delta(beta_i)`` and
-``C`` for the binomial, the three relations are, for divisors A, B, C, D
-and sums over ordered splittings ``beta = beta1 + beta2`` into nonzero
-parts:
+It uses coefficient identities of the genus-zero point-insertion potential:
+associativity of the quantum product (WDVV) contracted with two divisors
+and two point classes, three divisors and one point, or four divisors.
+Writing ``delta_i`` for ``delta(beta_i)`` and ``C`` for the binomial, the
+three relations are, for divisors A, B, C, D and sums over ordered
+splittings ``beta = beta1 + beta2`` into nonzero parts:
 
   [two points]   (A.B) n(beta) =
       sum n1 n2 (b1.b2) [ (b1.A)(b2.B) C(delta-3, delta1-1)
@@ -29,41 +23,48 @@ parts:
       sum C(delta-1, delta1) n1 n2 (b1.b2)
           [ (b1.A)(b1.C)(b2.B)(b2.D) - (b1.A)(b1.B)(b2.C)(b2.D) ]
 
-On blow-ups the engine picks (A, B) = (L, L) when delta >= 3, the triple
-(E_1, L, E_1) when delta = 2 (leading coefficient d), and (E_i, E_j, E_i,
-E_j) at the two largest multiplicities when delta = 1 (leading coefficient
-m_i^2 + m_j^2 > 0).  On the quadric (A, B) = (e_1, e_2) always works
-because bidegrees with a, b >= 1 have delta >= 3.  Classes the relations
-cannot reach (delta = 0, degree >= 2, every multiplicity >= 2) are pushed
-through the quadratic Cremona transformation based at the three largest
+The two-point relation is one piece of code for every lattice.  Its
+divisors have A.B = 1 and are read as coordinates of the coefficient
+vector: (A, B) = (L, L) is (0, 0) on blow-ups, and (e_1, e_2) is (1, 0)
+on the quadric (beta.e_1 = b, beta.e_2 = a).  On the plane it is
+Kontsevich's recursion, so the plane needs no case of its own; on the
+quadric every bidegree with a, b >= 1 has delta >= 3, so it always
+applies.  On blow-ups it serves delta >= 3; delta = 2 uses the triple
+(E_1, L, E_1) (leading coefficient d), and delta = 1 the quadruple
+(E_i, E_j, E_i, E_j) at the two largest multiplicities (leading
+coefficient m_i^2 + m_j^2 > 0).  Classes the relations cannot reach
+(delta = 0, degree >= 2, every multiplicity >= 2) are pushed through the
+quadratic Cremona transformation based at the three largest
 multiplicities, which strictly lowers the degree.  Before any of that, a
 class with a multiplicity 0 or 1 loses that coefficient: forgetting a
-blown-up point off the curve, or trading a point of multiplicity one for a
-generic point constraint, leaves the count unchanged and shrinks the
+blown-up point off the curve, or trading a point of multiplicity one for
+a generic point constraint, leaves the count unchanged and shrinks the
 lattice.
 
 Counts on blow-ups are invariant under permuting the blown-up points
-(Goettsche-Pandharipande): the monodromy of the general point
-configurations permutes the exceptional classes and preserves the
-invariants.  The blow-up memo is therefore keyed by orbit representatives
-``(d, m_1 >= ... >= m_k)``, and every orbit is computed once.  Candidate
-classes are enumerated the same way, one non-increasing multiplicity tuple
-per orbit, and then expanded into all permutations, because splittings
+(Goettsche-Pandharipande), so the blow-up memo is keyed by orbit
+representatives ``(d, m_1 >= ... >= m_k)`` and every orbit is computed
+once.  Candidates are enumerated one non-increasing multiplicity tuple
+per orbit and then expanded into all permutations, because splittings
 need every member.
 
 Splitting sums run over support levels: for each rank and anticanonical
-degree, the classes with nonzero count, bucketed by line degree and built
-in order of anticanonical degree.  Anticanonical and line degree are both
-additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket of line
-degree ``e`` in level ``D1`` only with the bucket of line degree
-``d - e`` in level ``D - D1``, and the complement's count is one lookup
-there.  A complement missing from its bucket has count zero: the
-candidates of a level contain every class that can carry curves (the
-exceptional classes and the classes with ``0 <= m_i <= d`` and
-nonnegative arithmetic genus), so each level holds every nonzero class of
-its degree.  All divisions are exact and asserted; a failed division or a
-stalled reduction raises RecursionFailure instead of returning a wrong
-number.
+degree, the classes with nonzero count, bucketed by their first
+coordinate (the line degree, or ``a`` on the quadric).  Both are
+additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket ``e``
+of level ``D1`` only with the bucket ``beta[0] - e`` of level ``D - D1``:
+on blow-ups the walk joins the two, on the quadric each bucket holds one
+bidegree.  A complement missing from its bucket has count zero, because
+the candidates of a level contain every class that can carry curves.
+The levels are filled in order of degree before a relation reads them,
+so evaluation is bottom-up: only the drop and Cremona reductions nest, a
+few frames per step, whatever the degree.  All divisions are exact and
+asserted; a failed division or a stalled reduction raises
+RecursionFailure instead of returning a wrong number.
+
+One engine class serves every surface through a small per-lattice record
+(``_Lattice``).  Each ``GwTable`` owns one engine; a public call without
+a table builds a fresh table for that call alone.
 """
 
 from __future__ import annotations
@@ -72,13 +73,12 @@ import json
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import islice
-from math import comb, isqrt
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from math import isqrt
 from operator import sub
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 from .errors import (
     CacheFormatError,
@@ -86,7 +86,7 @@ from .errors import (
     RecursionFailure,
     SurfaceMismatch,
 )
-from .numerics import binomial, to_integer
+from .numerics import binomial, from_decimal_string, to_decimal_string
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -102,6 +102,8 @@ __all__ = [
 CACHE_VERSION = 1
 
 Coeffs = tuple[int, ...]
+# (anticanonical degree of the first part, c1, n0(c1), c2, n0(c2))
+Pair = tuple[int, Coeffs, int, Coeffs, int]
 
 
 def _orbit_key(c: Coeffs) -> Coeffs:
@@ -154,54 +156,122 @@ def _distinct_permutations(values: Coeffs) -> Iterator[Coeffs]:
     return arrange(len(values))
 
 
-class _BlowupComputer:
-    """Counts on every blow-up of the plane at once.
+def _blowup_degree(c: Coeffs) -> int:
+    return 3 * c[0] - sum(c[1:])
 
-    Memo keys are orbit representatives ``(d, *sorted(ms, reverse=True))``
-    of the point-permutation action; the tuple length encodes the surface
-    (length k+1 on k points), so the coefficient-dropping reductions can
-    reuse one memo across ranks.  Everything past ``value`` (the reduction
-    pipeline, the relations and Cremona) only ever sees representatives.
 
-    ``support`` maps ``(k, anticanonical degree)`` to that level's classes
-    with nonzero count, every permutation listed, bucketed by line degree:
-    ``{d: {coeffs: count}}``.  ``ensure`` fills the levels in order of
-    degree, ``pairs`` joins two levels on the line degree and
-    ``support_enumerate`` reads them; nothing else stores the support.
+def _blowup_candidates(rank: int, degree: int) -> list[Coeffs]:
+    """Blow-up classes of the given rank (``k + 1`` on ``k`` points) and
+    anticanonical degree that can carry curves.
+
+    These are the exceptional classes (degree 1) and the vectors with
+    d >= 1, 0 <= m_i <= d and nonnegative genus, i.e.
+    sum m_i (m_i - 1) <= (d-1)(d-2).  The degree bound on d comes from
+    combining the genus bound with Cauchy-Schwarz on sum m_i.  The
+    multiplicities are enumerated once per orbit (non-increasing) and
+    each representative is expanded into its distinct permutations;
+    the classes with d >= 1 come out in lexicographic order.
+    """
+    k = rank - 1
+    out: list[Coeffs] = []
+    if k == 0:
+        if degree % 3 == 0 and degree >= 3:
+            out.append((degree // 3,))
+        return out
+    if degree == 1:
+        for i in range(k):
+            out.append((0,) + tuple(-1 if j == i else 0 for j in range(k)))
+    disc = 9 * degree * degree - (9 - k) * (degree * degree + k * degree - 2 * k)
+    if disc < 0:
+        return out
+    d_lo = max(1, (degree + 2) // 3)
+    d_hi = (3 * degree + isqrt(disc)) // (9 - k)
+    classes: list[Coeffs] = []
+    for d in range(d_lo, d_hi + 1):
+        target = 3 * d - degree
+        if target < 0 or target > k * d:
+            continue
+        cap = (d - 1) * (d - 2)
+        for rep in _sorted_multiplicities(target, k, d, cap):
+            classes.extend((d,) + ms for ms in _distinct_permutations(rep))
+    classes.sort()
+    out.extend(classes)
+    return out
+
+
+def _quadric_degree(c: Coeffs) -> int:
+    return 2 * (c[0] + c[1])
+
+
+def _quadric_candidates(rank: int, degree: int) -> list[Coeffs]:
+    """Bidegrees of the given anticanonical degree that can carry curves."""
+    if degree == 2:
+        return [(0, 1), (1, 0)]
+    if degree % 2 or degree < 4:
+        return []
+    half = degree // 2
+    return [(a, half - a) for a in range(1, half)]
+
+
+class _Engine:
+    """Genus-zero counts on one lattice family, memoised and evaluated
+    bottom-up.
+
+    ``memo`` maps orbit keys (see ``_Lattice.key``) to counts, zeros
+    included.  On blow-ups the tuple
+    length encodes the surface (length k+1 on k points), so the
+    coefficient-dropping reduction reuses one memo across ranks.
+
+    ``support`` maps ``(rank, anticanonical degree)`` to that level's
+    classes with nonzero count, every permutation listed, bucketed by the
+    first coordinate: ``{c[0]: {coeffs: count}}``.  ``ensure`` fills the
+    levels in order of degree, the lattice's walk reads two of them per
+    splitting and ``support_enumerate`` reads them; nothing else stores
+    the support.
     """
 
-    def __init__(self, seed: dict[Coeffs, int] | None = None) -> None:
-        self.memo: dict[Coeffs, int] = {
-            _orbit_key(c): v for c, v in (seed or {}).items()
-        }
+    def __init__(self, surface: Surface, seed: Iterable[tuple[Coeffs, int]] = ()) -> None:
+        self.lattice = _BLOWUPS if surface.is_blowup else _QUADRIC
+        self.dot = surface._dot
+        key = self.lattice.key
+        self.memo: dict[Coeffs, int] = {key(c): v for c, v in seed}
         self.support: dict[tuple[int, int], dict[int, dict[Coeffs, int]]] = {}
         self.ensured: dict[int, int] = {}
 
-    # -- public ------------------------------------------------------------
-
     def value(self, c: Coeffs) -> int:
-        key = _orbit_key(c)
+        key = self.lattice.key(c)
         cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute(key)
-        self.memo[key] = result
-        return result
+        if cached is None:
+            cached = self.memo[key] = self.lattice.reduce(self, key)
+        return cached
 
-    def pairs(self, c: Coeffs) -> Iterator[tuple[Coeffs, int, Coeffs, int]]:
-        """Ordered splittings of ``c`` into two classes with nonzero counts.
+    def pairs(self, c: Coeffs) -> Iterator[Pair]:
+        """Ordered splittings of ``c`` into two classes with nonzero counts,
+        each with the anticanonical degree of its first part."""
+        degree = self.lattice.degree(c)
+        self.ensure(len(c), degree - 1)
+        return self.lattice.walk(self, c, degree)
 
-        A join of two support levels on the line degree (see the module
-        docstring): the smaller of two matching buckets is walked and each
-        complement is one lookup in the other.
-        """
-        k = len(c) - 1
-        degree = self._degree(c)
-        self.ensure(k, degree - 1)
-        d = c[0]
+    def ensure(self, rank: int, bound: int) -> None:
+        """Fill the support levels of ``rank`` up to anticanonical degree ``bound``."""
+        for degree in range(self.ensured.get(rank, 0) + 1, bound + 1):
+            level: dict[int, dict[Coeffs, int]] = {}
+            for cand in self.lattice.candidates(rank, degree):
+                if v := self.value(cand):
+                    level.setdefault(cand[0], {})[cand] = v
+            self.support[(rank, degree)] = level
+            self.ensured[rank] = degree
+
+    # -- splitting walks ----------------------------------------------------
+
+    def _join_walk(self, c: Coeffs, degree: int) -> Iterator[Pair]:
+        """Blow-ups: join two levels on the line degree.  The smaller of two
+        matching buckets is walked and each complement is one lookup in the
+        other."""
+        rank, d = len(c), c[0]
         for degree1 in range(1, degree):
-            partners = self.support[(k, degree - degree1)]
-            for e, bucket in self.support[(k, degree1)].items():
+            partners = self.support[(rank, degree - degree1)]
+            for e, bucket in self.support[(rank, degree1)].items():
                 others = partners.get(d - e)
                 if not others:
                     continue
@@ -209,85 +279,39 @@ class _BlowupComputer:
                     for c1, n1 in bucket.items():
                         c2 = tuple(map(sub, c, c1))
                         if n2 := others.get(c2):
-                            yield c1, n1, c2, n2
+                            yield degree1, c1, n1, c2, n2
                 else:
                     for c2, n2 in others.items():
                         c1 = tuple(map(sub, c, c2))
                         if n1 := bucket.get(c1):
-                            yield c1, n1, c2, n2
+                            yield degree1, c1, n1, c2, n2
 
-    def ensure(self, k: int, bound: int) -> None:
-        """Fill the support levels of rank ``k`` up to anticanonical degree ``bound``."""
-        done = self.ensured.get(k, 0)
-        for degree in range(done + 1, bound + 1):
-            level: dict[int, dict[Coeffs, int]] = {}
-            for cand in self._candidates(k, degree):
-                if v := self.value(cand):
-                    level.setdefault(cand[0], {})[cand] = v
-            self.support[(k, degree)] = level
-            self.ensured[k] = degree
+    def _bidegree_walk(self, c: Coeffs, degree: int) -> Iterator[Pair]:
+        """The quadric: level ``D1`` is read only at the first coordinates
+        ``a1`` that leave a nonnegative complement, in increasing ``a1``;
+        each bucket holds the one bidegree ``(a1, D1/2 - a1)``."""
+        a, b = c
+        for degree1 in range(2, degree, 2):
+            half1 = degree1 // 2
+            level1, level2 = self.support[(2, degree1)], self.support[(2, degree - degree1)]
+            for a1 in range(max(0, half1 - b), min(a, half1) + 1):
+                if (bucket1 := level1.get(a1)) and (bucket2 := level2.get(a - a1)):
+                    [(c1, n1)] = bucket1.items()
+                    [(c2, n2)] = bucket2.items()
+                    yield degree1, c1, n1, c2, n2
 
-    # -- helpers -----------------------------------------------------------
+    # -- reduction pipelines -------------------------------------------------
 
-    @staticmethod
-    def _degree(c: Coeffs) -> int:
-        return 3 * c[0] - sum(c[1:])
-
-    @staticmethod
-    def _dot(c1: Coeffs, c2: Coeffs) -> int:
-        return c1[0] * c2[0] - sum(m1 * m2 for m1, m2 in zip(c1[1:], c2[1:]))
-
-    @staticmethod
-    def _candidates(k: int, degree: int) -> list[Coeffs]:
-        """Classes of the given anticanonical degree that can carry curves.
-
-        These are the exceptional classes (degree 1) and the vectors with
-        d >= 1, 0 <= m_i <= d and nonnegative genus, i.e.
-        sum m_i (m_i - 1) <= (d-1)(d-2).  The degree bound on d comes from
-        combining the genus bound with Cauchy-Schwarz on sum m_i.  The
-        multiplicities are enumerated once per orbit (non-increasing) and
-        each representative is expanded into its distinct permutations;
-        the classes with d >= 1 come out in lexicographic order.
-        """
-        out: list[Coeffs] = []
-        if k == 0:
-            if degree % 3 == 0 and degree >= 3:
-                out.append((degree // 3,))
-            return out
-        if degree == 1:
-            for i in range(k):
-                out.append((0,) + tuple(-1 if j == i else 0 for j in range(k)))
-        disc = 9 * degree * degree - (9 - k) * (degree * degree + k * degree - 2 * k)
-        if disc < 0:
-            return out
-        d_lo = max(1, (degree + 2) // 3)
-        d_hi = (3 * degree + isqrt(disc)) // (9 - k)
-        classes: list[Coeffs] = []
-        for d in range(d_lo, d_hi + 1):
-            target = 3 * d - degree
-            if target < 0 or target > k * d:
-                continue
-            cap = (d - 1) * (d - 2)
-            for rep in _sorted_multiplicities(target, k, d, cap):
-                classes.extend((d,) + ms for ms in _distinct_permutations(rep))
-        classes.sort()
-        out.extend(classes)
-        return out
-
-    # -- the reduction pipeline ---------------------------------------------
-
-    def _compute(self, c: Coeffs) -> int:
-        if len(c) == 1:
-            return self._plane(c[0])
+    def _reduce_blowup(self, c: Coeffs) -> int:
         d, ms = c[0], c[1:]
         if d < 0:
             return 0
         if d == 0:
             exceptional = all(m in (0, -1) for m in ms) and ms.count(-1) == 1
             return 1 if exceptional else 0
-        if ms[-1] < 0 or ms[0] > d:
+        if ms and (ms[-1] < 0 or ms[0] > d):
             return 0
-        delta = self._degree(c) - 1
+        delta = _blowup_degree(c) - 1
         if delta < 0:
             return 0
         if d == 1:
@@ -296,7 +320,7 @@ class _BlowupComputer:
         if delta == 0 and d * d - sum(m * m for m in ms) == -1:
             # Rigid class of self-intersection -1: one curve, no constraints.
             return 1
-        if ms[-1] <= 1:
+        if ms and ms[-1] <= 1:
             return self.value(c[:-1])
         if delta >= 3:
             return self._two_point_relation(c, delta)
@@ -306,37 +330,33 @@ class _BlowupComputer:
             return self._four_divisor_relation(c, delta)
         return self._cremona(c)
 
-    def _plane(self, d: int) -> int:
-        if d < 1:
+    def _reduce_quadric(self, c: Coeffs) -> int:
+        a, b = c
+        if a < 0 or b < 0:
             return 0
-        if d == 1:
+        if (a, b) in ((1, 0), (0, 1)):
             return 1
-        total = Fraction(0)
-        for d1 in range(1, d):
-            d2 = d - d1
-            weight = comb(3 * d - 2, 3 * d1 - 1) * d1 * d2
-            bracket = d1 * d2 - Fraction(2 * (d1 - d2) ** 2, 3 * d - 2)
-            total += weight * self.value((d1,)) * self.value((d2,)) * bracket
-        return to_integer(total / (6 * (d - 1)), context=f"plane degree {d}")
+        if a == 0 or b == 0:
+            # Multiple covers of a ruling never pass through enough points.
+            return 0
+        return self._two_point_relation(c, 2 * a + 2 * b - 1)
+
+    # -- relations -----------------------------------------------------------
 
     def _two_point_relation(self, c: Coeffs, delta: int) -> int:
-        # (A, B) = (L, L); leading coefficient L.L = 1.
+        # b.A = b[i] and b.B = b[j]; the leading coefficient A.B is 1.
+        i, j = self.lattice.two_point
+        dot = self.dot
+        # row[delta1] = C(delta-3, delta1-1) for the 0 <= delta1 < delta of the parts.
+        row = [binomial(delta - 3, r) for r in range(-1, delta)]
         total = 0
-        for c1, n1, c2, n2 in self.pairs(c):
-            dot = self._dot(c1, c2)
-            if dot == 0:
+        for degree1, c1, n1, c2, n2 in self.pairs(c):
+            pairing = dot(c1, c2)
+            if pairing == 0:
                 continue
-            d1, d2 = c1[0], c2[0]
-            delta1 = self._degree(c1) - 1
-            total += (
-                n1
-                * n2
-                * dot
-                * (
-                    d1 * d2 * binomial(delta - 3, delta1 - 1)
-                    - d1 * d1 * binomial(delta - 3, delta1)
-                )
-            )
+            delta1 = degree1 - 1
+            bracket = c2[j] * row[delta1] - c1[j] * row[delta1 + 1]
+            total += n1 * n2 * (pairing * c1[i]) * bracket
         return total
 
     def _one_point_relation(self, c: Coeffs, delta: int) -> int:
@@ -344,18 +364,19 @@ class _BlowupComputer:
         # representative; leading coefficient
         # (E1.L)(beta.E1) - (E1.E1)(beta.L) = d.
         d = c[0]
+        dot = self.dot
         total = 0
-        for c1, n1, c2, n2 in self.pairs(c):
-            dot = self._dot(c1, c2)
-            if dot == 0:
+        for degree1, c1, n1, c2, n2 in self.pairs(c):
+            pairing = dot(c1, c2)
+            if pairing == 0:
                 continue
+            delta1 = degree1 - 1
             m1a, m1b = c1[1], c2[1]  # beta_i . E_1
-            delta1 = self._degree(c1) - 1
             total += (
                 binomial(delta - 2, delta1)
                 * n1
                 * n2
-                * dot
+                * pairing
                 * m1a
                 * (m1a * c2[0] - c1[0] * m1b)
             )
@@ -373,19 +394,20 @@ class _BlowupComputer:
         kappa = ms[0] ** 2 + ms[1] ** 2
         if kappa == 0:
             raise RecursionFailure(f"four-divisor relation degenerates at {c}")
+        dot = self.dot
         total = 0
-        for c1, n1, c2, n2 in self.pairs(c):
-            dot = self._dot(c1, c2)
-            if dot == 0:
+        for degree1, c1, n1, c2, n2 in self.pairs(c):
+            pairing = dot(c1, c2)
+            if pairing == 0:
                 continue
+            delta1 = degree1 - 1
             pi1, pj1 = c1[1], c1[2]  # beta_1 . E_1, beta_1 . E_2
             pi2, pj2 = c2[1], c2[2]
-            delta1 = self._degree(c1) - 1
             total += (
                 binomial(delta - 1, delta1)
                 * n1
                 * n2
-                * dot
+                * pairing
                 * (pi1 * pi1 * pj2 * pj2 - pi1 * pj1 * pi2 * pj2)
             )
         quotient, remainder = divmod(total, kappa)
@@ -407,160 +429,108 @@ class _BlowupComputer:
         return self.value(image)
 
 
-class _QuadricComputer:
-    """Counts on the quadric; bidegree tuples (a, b).
+@dataclass(frozen=True)
+class _Lattice:
+    """What the engine needs to know about one family of lattices."""
 
-    ``support`` maps each anticanonical degree ``D`` to that level's
-    bidegrees with nonzero count, ``{coeffs: count}``.  Level ``D`` holds
-    every nonzero bidegree ``(a, D/2 - a)``, so a splitting looks each
-    complement up in its level and a missing one counts zero.
-    """
-
-    def __init__(self, seed: dict[Coeffs, int] | None = None) -> None:
-        self.memo: dict[Coeffs, int] = dict(seed or {})
-        self.support: dict[int, dict[Coeffs, int]] = {}
-        self.ensured = 0
-
-    def value(self, c: Coeffs) -> int:
-        cached = self.memo.get(c)
-        if cached is not None:
-            return cached
-        result = self._compute(c)
-        self.memo[c] = result
-        return result
-
-    def pairs(self, c: Coeffs) -> Iterator[tuple[Coeffs, int, Coeffs, int]]:
-        """Ordered splittings of ``c`` into two bidegrees with nonzero counts.
-
-        Level ``D1`` is walked only over the first coordinates ``a1`` that
-        leave a nonnegative complement, in increasing ``a1``, and each
-        complement is one lookup in level ``D - D1``.
-        """
-        a, b = c
-        degree = 2 * (a + b)
-        self.ensure(degree - 1)
-        for d1 in range(2, degree, 2):
-            half1 = d1 // 2
-            level1, level2 = self.support[d1], self.support[degree - d1]
-            for a1 in range(max(0, half1 - b), min(a, half1) + 1):
-                c1, c2 = (a1, half1 - a1), (a - a1, b - half1 + a1)
-                if (n1 := level1.get(c1)) and (n2 := level2.get(c2)):
-                    yield c1, n1, c2, n2
-
-    def ensure(self, bound: int) -> None:
-        for degree in range(self.ensured + 1, bound + 1):
-            self.support[degree] = {
-                cand: v for cand in self._candidates(degree) if (v := self.value(cand))
-            }
-            self.ensured = degree
-
-    @staticmethod
-    def _candidates(degree: int) -> list[Coeffs]:
-        if degree == 2:
-            return [(0, 1), (1, 0)]
-        if degree % 2 or degree < 4:
-            return []
-        half = degree // 2
-        return [(a, half - a) for a in range(1, half)]
-
-    def _compute(self, c: Coeffs) -> int:
-        a, b = c
-        if a < 0 or b < 0:
-            return 0
-        if (a, b) in ((1, 0), (0, 1)):
-            return 1
-        if a == 0 or b == 0:
-            # Multiple covers of a ruling never pass through enough points.
-            return 0
-        # (A, B) = (e_1, e_2); leading coefficient e_1.e_2 = 1.  Note
-        # beta.e_1 = b and beta.e_2 = a.
-        delta = 2 * a + 2 * b - 1
-        total = 0
-        for c1, n1, c2, n2 in self.pairs(c):
-            dot = c1[0] * c2[1] + c2[0] * c1[1]
-            if dot == 0:
-                continue
-            delta1 = 2 * (c1[0] + c1[1]) - 1
-            total += (
-                n1
-                * n2
-                * dot
-                * (
-                    c1[1] * c2[0] * binomial(delta - 3, delta1 - 1)
-                    - c1[1] * c1[0] * binomial(delta - 3, delta1)
-                )
-            )
-        return total
+    key: Callable[[Coeffs], Coeffs]  # orbit representative: the memo key
+    degree: Callable[[Coeffs], int]  # anticanonical degree
+    candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> classes
+    reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a representative
+    walk: Callable[[_Engine, Coeffs, int], Iterator[Pair]]  # (c, degree) -> pairs
+    two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
 
-_SHARED_BLOWUP = _BlowupComputer()
-_SHARED_QUADRIC = _QuadricComputer()
+_BLOWUPS = _Lattice(
+    key=_orbit_key,
+    degree=_blowup_degree,
+    candidates=_blowup_candidates,
+    reduce=_Engine._reduce_blowup,
+    walk=_Engine._join_walk,
+    two_point=(0, 0),
+)
+_QUADRIC = _Lattice(
+    key=tuple,
+    degree=_quadric_degree,
+    candidates=_quadric_candidates,
+    reduce=_Engine._reduce_quadric,
+    walk=_Engine._bidegree_walk,
+    two_point=(1, 0),
+)
 
 
-@dataclass
+class _Entries(Mapping):
+    """Read-only view of the nonzero memo entries of one rank."""
+
+    def __init__(self, memo: dict[Coeffs, int], rank: int) -> None:
+        self._memo, self._rank = memo, rank
+
+    def __getitem__(self, beta: CurveClass) -> int:
+        value = self._memo.get(beta.coeffs) if len(beta.coeffs) == self._rank else None
+        if not value:
+            raise KeyError(beta)
+        return value
+
+    def __iter__(self) -> Iterator[CurveClass]:
+        return (CurveClass(c) for c, _ in self._counts())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._counts())
+
+    def _counts(self) -> Iterator[tuple[Coeffs, int]]:
+        rank = self._rank
+        return ((c, v) for c, v in self._memo.items() if v and len(c) == rank)
+
+
 class GwTable:
     """A persistent memo of genus-zero counts for one surface.
 
-    ``entries`` holds the nonzero counts discovered so far; zero results
-    are implicit.  On blow-ups the computed entries are orbit
-    representatives ``(d, m_1 >= ... >= m_k)``: a count is the same for
-    every permutation of the points, so one member stands for the orbit,
-    and the memo is seeded by orbit, so entries listing other members load
-    as well.  Tables round-trip through the JSON cache files.
+    The table owns the engine that computes its counts.  ``entries`` is a
+    read-only view of the nonzero counts of the surface's rank computed or
+    loaded so far; zero results are implicit.  On blow-ups the entries are
+    orbit representatives ``(d, m_1 >= ... >= m_k)``: a count is the same
+    for every permutation of the points, so one member stands for the
+    orbit, and the memo is seeded by orbit, so ``entries`` passed in that
+    list other members load as well.  Tables round-trip through the JSON
+    cache files.
     """
 
-    surface: Surface
-    entries: dict[CurveClass, int] = field(default_factory=dict)
-    version: int = CACHE_VERSION
+    def __init__(
+        self, surface: Surface, entries: Mapping[CurveClass, int] | None = None
+    ) -> None:
+        self.surface = surface
+        seed = ((cls.coeffs, value) for cls, value in (entries or {}).items())
+        self._engine = _Engine(surface, seed)
 
-    def _computer(self):
-        comp = self.__dict__.get("_comp")
-        if comp is None:
-            seed = {cls.coeffs: value for cls, value in self.entries.items()}
-            comp = (
-                _BlowupComputer(seed)
-                if self.surface.is_blowup
-                else _QuadricComputer(seed)
-            )
-            self.__dict__["_comp"] = comp
-        return comp
+    @property
+    def entries(self) -> Mapping[CurveClass, int]:
+        return _Entries(self._engine.memo, self.surface.rank)
 
-    def _harvest(self) -> None:
-        """Pull the nonzero counts of the right rank out of the memo.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GwTable):
+            return NotImplemented
+        return self.surface == other.surface and dict(self.entries) == dict(other.entries)
 
-        The memo only grows, in insertion order, so only the entries added
-        since the last harvest are read.
-        """
-        comp = self.__dict__.get("_comp")
-        if comp is None:
-            return
-        memo, rank = comp.memo, self.surface.rank
-        start = self.__dict__.get("_harvested", 0)
-        for coeffs, value in islice(memo.items(), start, None):
-            if value and len(coeffs) == rank:
-                self.entries[CurveClass(coeffs)] = value
-        self.__dict__["_harvested"] = len(memo)
+    def __repr__(self) -> str:
+        return f"GwTable(surface={self.surface!r}, entries={dict(self.entries)!r})"
 
 
-def _resolve(surface: Surface, table: GwTable | None):
+def _engine(surface: Surface, table: GwTable | None) -> _Engine:
+    """The table's engine, or a fresh engine for one call."""
     if table is None:
-        return _SHARED_BLOWUP if surface.is_blowup else _SHARED_QUADRIC
+        return _Engine(surface)
     if table.surface != surface:
         raise SurfaceMismatch(
             f"table belongs to {table.surface.descriptor}, not {surface.descriptor}"
         )
-    return table._computer()
+    return table._engine
 
 
 def n0(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     """Number of irreducible rational curves in ``beta`` through
     ``delta(beta)`` generic points."""
     surface.check_class(beta)
-    comp = _resolve(surface, table)
-    value = comp.value(beta.coeffs)
-    if table is not None:
-        table._harvest()
-    return value
+    return _engine(surface, table).value(beta.coeffs)
 
 
 def support_pairs(
@@ -572,11 +542,8 @@ def support_pairs(
     shared by every splitting formula downstream: terms outside it vanish.
     """
     surface.check_class(beta)
-    comp = _resolve(surface, table)
-    for c1, n1, c2, n2 in comp.pairs(beta.coeffs):
+    for _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs):
         yield CurveClass(c1), n1, CurveClass(c2), n2
-    if table is not None:
-        table._harvest()
 
 
 def support_enumerate(
@@ -586,19 +553,14 @@ def support_enumerate(
     bound, sorted lexicographically by coefficient vector."""
     if max_anticanonical_degree < 1:
         raise InvalidClass("the anticanonical degree bound must be at least 1")
-    comp = _resolve(surface, table)
-    rows: list[tuple[CurveClass, int]] = []
-    if surface.is_blowup:
-        comp.ensure(surface.k, max_anticanonical_degree)
-        for degree in range(1, max_anticanonical_degree + 1):
-            for bucket in comp.support[(surface.k, degree)].values():
-                rows.extend((CurveClass(c), v) for c, v in bucket.items())
-    else:
-        comp.ensure(max_anticanonical_degree)
-        for degree in range(1, max_anticanonical_degree + 1):
-            rows.extend((CurveClass(c), v) for c, v in comp.support[degree].items())
-    if table is not None:
-        table._harvest()
+    engine = _engine(surface, table)
+    engine.ensure(surface.rank, max_anticanonical_degree)
+    rows = [
+        (CurveClass(c), v)
+        for degree in range(1, max_anticanonical_degree + 1)
+        for bucket in engine.support[(surface.rank, degree)].values()
+        for c, v in bucket.items()
+    ]
     rows.sort(key=lambda row: row[0].coeffs)
     return rows
 
@@ -613,12 +575,12 @@ def support_enumerate(
 def save_cache(table: GwTable, path: str | Path) -> None:
     """Write the table atomically: the file at ``path`` is either the old one
     or the complete new one, never a torn mix, also under concurrent runs."""
-    rows = sorted(table.entries.items(), key=lambda item: item[0].coeffs)
+    rows = sorted(table.entries._counts())
     document = {
-        "version": table.version,
+        "version": CACHE_VERSION,
         "surface": table.surface.descriptor,
         "entries": [
-            {"class": list(cls.coeffs), "n0": str(value)} for cls, value in rows
+            {"class": list(c), "n0": to_decimal_string(value)} for c, value in rows
         ],
     }
     target = Path(path)
@@ -674,7 +636,7 @@ def load_cache(path: str | Path) -> GwTable:
         if not isinstance(raw, str):
             raise CacheFormatError(f"cache file {path}: counts must be strings")
         try:
-            value = int(raw)
+            value = from_decimal_string(raw)
         except ValueError:
             raise CacheFormatError(
                 f"cache file {path}: bad decimal string {raw!r}"

@@ -59,7 +59,7 @@ from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, n0, support_pairs
-from .numerics import ExactRatio, binomial, to_integer
+from .numerics import binomial, to_decimal_string, to_integer
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -128,7 +128,7 @@ class _Moments:
         return (4 + 2 * self.b2) * self.n0 * self.sq + self.s2
 
     @cached_property
-    def taut(self) -> ExactRatio:
+    def taut(self) -> Fraction:
         return Fraction(self.x1sq, self.deg) * self.n0 - Fraction(self.s1, 2 * self.deg)
 
     @cached_property
@@ -149,7 +149,7 @@ class _Moments:
             Fraction(self.s0, 2), context=f"two-component count of {self.beta}"
         )
 
-    def n11(self, variant: str) -> ExactRatio:
+    def n11(self, variant: str) -> Fraction:
         if variant == "lemma":
             return 2 * self.taut
         if variant == "proof":
@@ -181,6 +181,8 @@ class _Moments:
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
     """One ``n0`` call and one splitting pass: everything the genus-two
     quantities of ``beta`` need."""
+    if table is None:
+        table = GwTable(surface)
     deg = surface.anticanonical_degree(beta)
     delta = deg - 1
     if delta < 1:
@@ -199,7 +201,7 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         sq=surface.self_intersection(beta),
         x1sq=surface.k_squared,
         x2=surface.euler_number,
-        b2=surface.b2,
+        b2=surface.rank,
         n0=count,
         s0=s0,
         s1=s1,
@@ -214,7 +216,7 @@ def rt2(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int
 
 def taut_intersection(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
-) -> ExactRatio:
+) -> Fraction:
     """Intersection of the first Chern class of the relative cotangent line
     with the anticanonical evaluation cycle, as an exact rational:
     ``x1^2/deg n0 - S1/(2 deg)``.
@@ -243,13 +245,13 @@ def two_component_count(
 class CrComponents:
     """The four correction components, one per boundary stratum type."""
 
-    n11: ExactRatio  # single sphere with one marked Weierstrass datum
+    n11: Fraction  # single sphere with one marked Weierstrass datum
     n21x2: int  # cuspidal stratum, weight 2, doubled by orientation
     n31x18: int  # cuspidal stratum through the six Weierstrass points
     n12: int  # two-sphere stratum, weight 4
 
     @property
-    def total(self) -> ExactRatio:
+    def total(self) -> Fraction:
         return self.n11 + self.n21x2 + self.n31x18 + self.n12
 
 
@@ -274,7 +276,7 @@ def cr_total(
     beta: CurveClass,
     table: GwTable | None = None,
     variant: str = "lemma",
-) -> ExactRatio:
+) -> Fraction:
     """Sum of the four correction components."""
     return cr_components(surface, beta, table, variant).total
 
@@ -314,6 +316,8 @@ def plane_genus2_intermediate(d: int, table: GwTable | None = None) -> int:
     if d < 1:
         raise InvalidClass(f"need a positive plane degree, got {d}")
     plane = Surface.blowup(0)
+    if table is None:
+        table = GwTable(plane)
 
     def count(e: int) -> int:
         return n0(plane, CurveClass((e,)), table)
@@ -338,6 +342,8 @@ def plane_genus2_zinger(d: int, table: GwTable | None = None) -> int:
     if d < 2:
         raise InvalidClass(f"the closed form needs degree at least 2, got {d}")
     plane = Surface.blowup(0)
+    if table is None:
+        table = GwTable(plane)
 
     def count(e: int) -> int:
         return n0(plane, CurveClass((e,)), table)
@@ -391,12 +397,15 @@ def applicability_warnings(
     return warnings
 
 
-def encode_exact(value: int | ExactRatio) -> str | dict[str, str]:
+def encode_exact(value: int | Fraction) -> str | dict[str, str]:
     """JSON encoding shared by every report: integers become decimal
     strings, rationals become {"num", "den"} pairs of decimal strings."""
     if isinstance(value, int):
-        return str(value)
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+        return to_decimal_string(value)
+    return {
+        "num": to_decimal_string(value.numerator),
+        "den": to_decimal_string(value.denominator),
+    }
 
 
 @dataclass(frozen=True)
@@ -409,11 +418,11 @@ class Genus2Report:
     delta: int
     genus: int
     rt2: int
-    taut: ExactRatio
+    taut: Fraction
     cusp: int
     two_comp: int
-    cr_lemma: ExactRatio
-    cr_proof: ExactRatio
+    cr_lemma: Fraction
+    cr_proof: Fraction
     n2j: int
     aut_order: int
     warnings: tuple[str, ...] = ()
@@ -445,6 +454,8 @@ def genus2_report(
 ) -> Genus2Report:
     """Assemble the full bundle of genus-two quantities for one class."""
     _check_aut_order(aut_order)
+    if table is None:
+        table = GwTable(surface)
     moments = _moments(surface, beta, table)
     return Genus2Report(
         surface=surface,
@@ -477,11 +488,11 @@ class ReconcileReport:
     beta: CurveClass
     aut_order: int
     rt2: int
-    cr_lemma: ExactRatio
-    cr_proof: ExactRatio
+    cr_lemma: Fraction
+    cr_proof: Fraction
     aut_n2j: int
-    residual_lemma: ExactRatio
-    residual_proof: ExactRatio
+    residual_lemma: Fraction
+    residual_proof: Fraction
 
     def to_json_dict(self) -> dict:
         return {

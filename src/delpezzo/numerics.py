@@ -1,27 +1,32 @@
 """Exact arithmetic helpers.
 
-All quantities in this package are integers or rationals; floating point is
-never used.  Rationals are ``fractions.Fraction`` throughout, re-exported
-here as :data:`ExactRatio` so call sites say what they mean.  ``binomial``
+All quantities in this package are integers or rationals
+(``fractions.Fraction``); floating point is never used.  ``binomial``
 follows the enumerative convention of vanishing outside the Pascal triangle,
 which lets splitting sums run over a rectangular index box without edge
-cases.
+cases.  ``to_decimal_string`` and ``from_decimal_string`` are the one place
+where a count becomes a decimal string or is read from one: past CPython's
+4300-digit limit on ``int`` <-> ``str`` (``n0(d L)`` from ``d = 572`` on)
+they convert through ``decimal``, exactly, without touching the limit.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NonIntegralResult
 
 __all__ = [
-    "ExactRatio",
     "binomial",
+    "from_decimal_string",
+    "to_decimal_string",
     "to_integer",
 ]
 
-ExactRatio = Fraction
+_DIGITS = re.compile(r"[+-]?[0-9]+")
 
 
 def binomial(n: int, k: int) -> int:
@@ -43,3 +48,25 @@ def to_integer(value: int | Fraction, context: str = "") -> int:
         return int(value)
     where = f" in {context}" if context else ""
     raise NonIntegralResult(f"expected integer{where}, got {value}")
+
+
+def to_decimal_string(value: int | Fraction) -> str:
+    """``str(value)`` at any size."""
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{to_decimal_string(value.numerator)}/{to_decimal_string(value.denominator)}"
+        value = value.numerator
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's digit limit
+        return str(Decimal(value))
+
+
+def from_decimal_string(text: str) -> int:
+    """``int(text)`` at any size."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _DIGITS.fullmatch(text):
+            raise
+        return int(Decimal(text))

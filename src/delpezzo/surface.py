@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import Callable
 
 from .errors import InvalidClass, RankMismatch, RankOverflow
 from .numerics import to_integer
@@ -42,6 +43,15 @@ _BLOWUP = "blp2"
 _QUADRIC = "p1xp1"
 
 _DESCRIPTOR_RE = re.compile(r"^blp2:k=([0-8])$")
+
+
+def _blowup_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    # d1 d2 - sum m1 m2 is 2 d1 d2 minus the sum over all coordinates.
+    return 2 * u[0] * v[0] - sum(map(mul, u, v))
+
+
+def _quadric_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return u[0] * v[1] + u[1] * v[0]
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,6 @@ class Surface:
         return self.k + 1 if self.is_blowup else 2
 
     @property
-    def b2(self) -> int:
-        return self.rank
-
-    @property
     def euler_number(self) -> int:
         return 3 + self.k if self.is_blowup else 4
 
@@ -176,13 +182,12 @@ class Surface:
         self.check_class(beta2, allow_zero=True)
         return self._dot(beta1.coeffs, beta2.coeffs)
 
-    def _dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    @property
+    def _dot(self) -> Callable[[tuple[int, ...], tuple[int, ...]], int]:
         """The intersection pairing on coefficient tuples, unchecked: the
-        caller guarantees two tuples of this surface's rank."""
-        if self.model == _BLOWUP:
-            # d1 d2 - sum m1 m2 is 2 d1 d2 minus the sum over all coordinates.
-            return 2 * u[0] * v[0] - sum(map(mul, u, v))
-        return u[0] * v[1] + u[1] * v[0]
+        caller guarantees two tuples of this surface's rank.  A plain
+        function, so loops that pair many tuples pay no dispatch."""
+        return _blowup_dot if self.model == _BLOWUP else _quadric_dot
 
     def self_intersection(self, beta: CurveClass) -> int:
         return self.intersect(beta, beta)
@@ -200,25 +205,6 @@ class Surface:
         self.check_class(beta)
         numerator = self.self_intersection(beta) - self.anticanonical_degree(beta) + 2
         return to_integer(Fraction(numerator, 2), context=f"genus of {beta}")
-
-    def append_coefficient(self, beta: CurveClass, sigma: int) -> tuple[Surface, CurveClass]:
-        """Blow up one more point and extend ``beta`` by ``m_{k+1} = -sigma``.
-
-        ``sigma = -1`` makes the curve pass through the new point once
-        (coefficient 1); ``sigma = 0`` puts the new point off the curve.
-        Either way the curve count is unchanged, which is what the
-        consistency checks exercise.  Returns the enlarged surface together
-        with the extended class.
-        """
-        if not self.is_blowup:
-            raise InvalidClass("can only append coefficients on blow-up surfaces")
-        if sigma not in (-1, 0):
-            raise InvalidClass(f"appended coefficient must come from sigma in {{-1, 0}}, got {sigma}")
-        if self.k >= MAX_BLOWUPS:
-            raise RankOverflow(f"cannot blow up more than {MAX_BLOWUPS} points")
-        self.check_class(beta)
-        bigger = Surface.blowup(self.k + 1)
-        return bigger, CurveClass(beta.coeffs + (-sigma,))
 
 
 def quadric_to_blowup_class(beta: CurveClass) -> CurveClass:

@@ -28,6 +28,7 @@ from delpezzo.genus2 import (
 )
 from delpezzo.numerics import binomial
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from blowup_point import append_coefficient
 
 PLANE = Surface.blowup(0)
 QUADRIC = Surface.quadric()
@@ -116,7 +117,7 @@ def test_criterion_4_blow_down_invariance():
             for sigmas in itertools.product((-1, 0), repeat=length):
                 surface, beta = PLANE, CurveClass((d,))
                 for sigma in sigmas:
-                    surface, beta = surface.append_coefficient(beta, sigma)
+                    surface, beta = append_coefficient(surface, beta, sigma)
                 if surface.delta(beta) < 0:
                     # more point conditions than the curves can satisfy;
                     # nothing to compare, both sides count zero curves

@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
+from delpezzo import checks
 from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
+from delpezzo.cli import main
 from delpezzo.genus0 import support_pairs
 
 
@@ -119,3 +121,25 @@ def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
     assert "247 classes examined" in identity.justification
     assert len(walks) == 247
     assert max(walks.values()) <= 2
+
+
+def test_sweep_fails_on_a_missing_swap_partner(monkeypatch, capsys):
+    # A walk that yields (a, b) without (b, a) is the defect the swap test
+    # exists to catch: it must be reported, not raised.
+    real = checks._pair_terms
+
+    def drop_one(surface, beta, table):
+        terms = real(surface, beta, table)
+        for b1, b2, t in terms:
+            if b1 != b2:
+                break  # the first pair with distinct parts goes missing
+            yield b1, b2, t
+        yield from terms
+
+    monkeypatch.setattr(checks, "_pair_terms", drop_one)
+    result, identity = _check_sweep("plane")
+    assert result.status == "fail"
+    assert "asymmetric summand" in result.actual
+    assert identity.status == "pass"
+    assert main(["check", "--scope", "plane"]) == 3
+    assert "FAIL" in capsys.readouterr().out

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from delpezzo.cli import main
+from delpezzo import cli
+from delpezzo.cli import OutputRecord, _emit_records, main
+from delpezzo.genus0 import n0
+from delpezzo.genus2 import encode_exact
+from delpezzo.numerics import to_decimal_string
+from recursion_limit import recursion_margin
 
 
 def run(capsys, *argv):
@@ -194,17 +200,46 @@ def test_computation_error_is_exit_2(capsys):
     assert err.startswith("delpezzo: error:")
 
 
-def test_deep_recursion_is_exit_2_without_traceback(tmp_path, capsys):
-    # A fresh table, so no memo left by other tests makes the chain shorter.
+def test_deep_recursion_is_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # Evaluation is bottom-up, so no degree nests deeply; the engine is run
+    # under a recursion limit a few frames above the stack instead.
+    def shallow_n0(*args):
+        with recursion_margin(5):
+            return n0(*args)
+
+    monkeypatch.setattr(cli, "n0", shallow_n0)
     code, out, err = run(
-        capsys, "count", "genus0", "--surface", "blp2:k=0", "--class", "400",
-        "--cache", str(tmp_path / "plane.json"),
+        capsys, "count", "genus0", "--surface", "blp2:k=4", "--class", "7,2,2,2,2",
+        "--cache", str(tmp_path / "k4.json"),
     )
     assert code == 2
     assert out == ""
     assert err.startswith("delpezzo: error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# Past CPython's default limit of 4300 digits for int <-> str conversion.
+HUGE = 7**6000 + 1
+
+
+def test_counts_past_the_digit_limit_reach_every_format(capsys):
+    digits = to_decimal_string(HUGE)
+    assert len(digits) > 4300
+    assert encode_exact(HUGE) == digits
+    assert encode_exact(Fraction(HUGE, 3)) == {"num": digits, "den": "3"}
+    record = OutputRecord("blp2:k=0", (600,), "genus0", HUGE)
+    assert record.to_json_dict()["value"] == digits
+
+    _emit_records([record], "text", single=True)
+    assert capsys.readouterr().out == digits + "\n"
+    _emit_records([record], "text", single=False)
+    assert capsys.readouterr().out.splitlines()[1].split() == ["600", digits]
+    _emit_records([record], "csv", single=True)
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1][3] == digits
+    _emit_records([record], "json", single=True)
+    assert json.loads(capsys.readouterr().out)["value"] == digits
 
 
 # -- check ----------------------------------------------------------------

@@ -9,6 +9,7 @@ the frozen rows.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 from delpezzo.errors import CacheFormatError, InvalidClass, SurfaceMismatch
 from delpezzo.genus0 import (
     GwTable,
-    _BlowupComputer,
-    _QuadricComputer,
+    _blowup_candidates,
+    _Engine,
     load_cache,
     n0,
     save_cache,
@@ -37,6 +38,8 @@ from delpezzo.genus0 import (
 )
 from delpezzo.genus2 import genus2_report
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from blowup_point import append_coefficient
+from recursion_limit import recursion_margin
 from splitting_box import splittings
 
 
@@ -167,9 +170,9 @@ def test_zero_class_rejected():
 def test_blow_down_invariance_small():
     for d in range(1, 6):
         base = n0(PLANE, plane_class(d))
-        surface, beta = PLANE.append_coefficient(plane_class(d), 0)
+        surface, beta = append_coefficient(PLANE, plane_class(d), 0)
         assert n0(surface, beta) == base
-        surface2, beta2 = surface.append_coefficient(beta, -1)
+        surface2, beta2 = append_coefficient(surface, beta, -1)
         if surface2.delta(beta2) >= 0:
             assert n0(surface2, beta2) == base
 
@@ -201,8 +204,8 @@ def test_cross_model_small():
 def test_support_pairs_agree_with_splittings_box():
     # The engine joins its support levels on the line degree; the oracle
     # enumerates a brute-force candidate box.  Filtered by nonzero counts
-    # they must produce identical ordered pairs and counts, on a fresh
-    # table and on the shared memo.
+    # they must produce identical ordered pairs and counts, on one table
+    # and with a fresh table per call.
     cases = [
         (Surface.blowup(2), CurveClass((2, 1, 1))),
         (Surface.blowup(2), CurveClass((3, 1, 1))),
@@ -237,14 +240,14 @@ def test_warm_splitting_walk_makes_no_value_calls(monkeypatch):
     beta = CurveClass((7, 2, 2, 2, 2))
     before = list(support_pairs(surface, beta, table))
     calls = 0
-    real_value = _BlowupComputer.value
+    real_value = _Engine.value
 
     def counting_value(self, c):
         nonlocal calls
         calls += 1
         return real_value(self, c)
 
-    monkeypatch.setattr(_BlowupComputer, "value", counting_value)
+    monkeypatch.setattr(_Engine, "value", counting_value)
     assert list(support_pairs(surface, beta, table)) == before
     assert len(before) > 100
     assert calls == 0
@@ -253,18 +256,18 @@ def test_warm_splitting_walk_makes_no_value_calls(monkeypatch):
 def test_warm_quadric_splitting_walk_makes_no_value_calls(monkeypatch):
     table = GwTable(surface=QUADRIC)
     support_enumerate(QUADRIC, 30, table)
-    assert 0 not in table._computer().memo.values()
+    assert 0 not in table._engine.memo.values()
     beta = CurveClass((8, 7))
     before = list(support_pairs(QUADRIC, beta, table))
     calls = 0
-    real_value = _QuadricComputer.value
+    real_value = _Engine.value
 
     def counting_value(self, c):
         nonlocal calls
         calls += 1
         return real_value(self, c)
 
-    monkeypatch.setattr(_QuadricComputer, "value", counting_value)
+    monkeypatch.setattr(_Engine, "value", counting_value)
     assert list(support_pairs(QUADRIC, beta, table)) == before
     assert len(before) > 40
     assert calls == 0
@@ -284,24 +287,116 @@ def test_cold_support_rows_match_the_scanning_engine():
     assert digest.hexdigest() == K4_N13_ROWS_SHA256
 
 
+# Computed by the two separate engines (blow-ups and quadric, with the plane
+# on its closed degree recursion) before they were merged into one: for each
+# (surface, bound), the row count and the sha256 of
+# repr([(coeffs, count), ...]) for the support rows, and the sha256 of
+# repr([(coeffs, sorted support_pairs), ...]) over the rows whose
+# multiplicities are non-increasing (every row on the plane and the
+# quadric, the 112 orbit representatives on k=8).
+MERGE_PINS = {
+    ("blp2:k=0", 180): (
+        60,
+        "0e4f9481303a479779b2d260de461024d3151d24d899088b1ddda41446e545d0",
+        "1eb0c9e62ea53aed2fd4de8b3baf546db21791abec40d8a3c52a2e2b93f6c568",
+    ),
+    ("p1xp1", 60): (
+        437,
+        "e73195a6237db67c47e0d03a865e69fdeb2738122e2db40e3a7b763109434454",
+        "7d840dc7e2d659b46b8257689a7c2286c36ee4e8bad43a2faeeab509ddcabd82",
+    ),
+    ("blp2:k=8", 3): (
+        29043,
+        "3e2d5a4fdb538268468f6570a74df126a84ffea2fd15c89bdaf47f7d6664803e",
+        "1b03fdc9b12263746ace0030cce59a6258d465c4f345a7d99fbb3adbc8da59be",
+    ),
+}
+
+
+@pytest.mark.parametrize("descriptor, bound", sorted(MERGE_PINS))
+def test_rows_and_pairs_match_the_separate_engines(descriptor, bound):
+    surface = Surface.parse(descriptor)
+    table = GwTable(surface=surface)
+    rows = support_enumerate(surface, bound, table)
+    pairs = [
+        (beta.coeffs, sorted(
+            (b1.coeffs, n1, b2.coeffs, n2)
+            for b1, n1, b2, n2 in support_pairs(surface, beta, table)
+        ))
+        for beta, _ in rows
+        if list(beta.coeffs[1:]) == sorted(beta.coeffs[1:], reverse=True)
+    ]
+    count, rows_digest, pairs_digest = MERGE_PINS[(descriptor, bound)]
+    assert len(rows) == count
+    assert hashlib.sha256(repr([(c.coeffs, v) for c, v in rows]).encode()).hexdigest() == rows_digest
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == pairs_digest
+
+
+def test_plane_evaluates_bottom_up():
+    # A recursion over the degree would need hundreds of frames for
+    # n0(150 L); filled in order of degree, the levels need a fixed few.
+    expected = [plane_reference(d) for d in range(1, 151)][-1]  # warm bottom-up
+    with recursion_margin(40):
+        assert n0(PLANE, plane_class(150)) == expected
+
+
+def _engines_without_a_table() -> list[_Engine]:
+    gc.collect()
+    objects = gc.get_objects()
+    owned = {id(obj._engine) for obj in objects if isinstance(obj, GwTable)}
+    return [obj for obj in objects if isinstance(obj, _Engine) and id(obj) not in owned]
+
+
+def test_tableless_calls_leave_no_engine():
+    surface = Surface.blowup(3)
+    assert n0(surface, CurveClass((5, 2, 2, 1))) == n0(surface, CurveClass((5, 1, 2, 2)))
+    assert _engines_without_a_table() == []
+    assert len(list(support_pairs(surface, CurveClass((4, 2, 1, 1))))) > 0
+    assert len(support_enumerate(QUADRIC, 8)) > 0
+    assert genus2_report(QUADRIC, CurveClass((2, 3))).n0 == n0(QUADRIC, CurveClass((3, 2)))
+    assert _engines_without_a_table() == []
+
+
+def test_entries_are_a_read_only_view_of_the_memo():
+    surface = Surface.blowup(2)
+    table = GwTable(surface=surface)
+    entries = table.entries
+    assert len(entries) == 0
+    n0(surface, CurveClass((4, 2, 1)), table)
+    assert entries[CurveClass((4, 2, 1))] == 96
+    assert CurveClass((1, 2, 1)) not in entries  # an orbit's other members are not keys
+    assert all(len(c.coeffs) == surface.rank and v for c, v in entries.items())
+    with pytest.raises(TypeError):
+        entries[CurveClass((1, 0, 0))] = 1  # type: ignore[index]
+    assert len(entries) == len(dict(entries)) > 0
+
+
 def test_incremental_harvest_matches_a_full_scan(tmp_path):
+    # After a mix of calls, a table's entries, fresh or loaded from a file
+    # that lists every permutation, are the orbit representatives a cold
+    # scan finds, with the same counts.
     surface = Surface.blowup(3)
     source = GwTable(surface=surface)
     support_enumerate(surface, 7, source)
     path = tmp_path / "permuted.json"
     permuted_cache(source, path)
+    cold = GwTable(surface=surface)
+    scan = {
+        beta: value
+        for beta, value in support_enumerate(surface, 11, cold)
+        if list(beta.coeffs[1:]) == sorted(beta.coeffs[1:], reverse=True)
+    }
     for table in (GwTable(surface=surface), load_cache(path)):
-        full = dict(table.entries)
         n0(surface, CurveClass((4, 2, 1, 1)), table)
         list(support_pairs(surface, CurveClass((5, 2, 2, 1)), table))
         support_enumerate(surface, 9, table)
         n0(surface, CurveClass((7, 3, 3, 2)), table)
         list(support_pairs(surface, CurveClass((6, 3, 2, 2)), table))
         support_enumerate(surface, 11, table)
-        for coeffs, value in table._computer().memo.items():
-            if value and len(coeffs) == surface.rank:
-                full[CurveClass(coeffs)] = value
-        assert list(table.entries.items()) == list(full.items())
+        entries = dict(table.entries)
+        assert CurveClass((7, 3, 3, 2)) in entries
+        assert {b: v for b, v in entries.items() if surface.anticanonical_degree(b) <= 11} == scan
+        assert all(n0(surface, beta, cold) == value for beta, value in entries.items())
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +475,14 @@ BOX_LIMITS = {0: 40, 1: 30, 2: 24, 3: 18, 4: 14, 5: 10, 6: 7, 7: 4, 8: 2}
 @pytest.mark.parametrize("k", sorted(BOX_LIMITS))
 def test_orbit_candidates_match_the_box(k):
     for degree in range(1, BOX_LIMITS[k] + 1):
-        assert _BlowupComputer._candidates(k, degree) == box_candidates(k, degree)
+        assert _blowup_candidates(k + 1, degree) == box_candidates(k, degree)
 
 
 def test_blowup_memo_holds_orbit_representatives():
     surface = Surface.blowup(4)
     table = GwTable(surface=surface)
     support_enumerate(surface, 10, table)
-    memo = table._computer().memo
+    memo = table._engine.memo
     assert len(memo) > 100
     for coeffs in memo:
         assert list(coeffs[1:]) == sorted(coeffs[1:], reverse=True)
@@ -499,6 +594,20 @@ def test_permuted_v1_cache_matches_a_cold_table(tmp_path):
         assert n0(surface, beta, warm) == n0(surface, beta, cold)
         assert (genus2_report(surface, beta, warm).to_json_dict()
                 == genus2_report(surface, beta, cold).to_json_dict())
+
+
+def test_cache_round_trip_past_the_digit_limit(tmp_path):
+    # Counts pass CPython's 4300-digit int <-> str limit from n0(572 L) on.
+    huge = 7**6000 + 1
+    assert huge > 10**4300
+    table = GwTable(surface=PLANE, entries={CurveClass((600,)): huge})
+    path = tmp_path / "huge.json"
+    save_cache(table, path)
+    loaded = load_cache(path)
+    assert loaded.entries[CurveClass((600,))] == huge
+    assert loaded == table
+    save_cache(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_orbit_inconsistent_cache_rejected(tmp_path):

@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delpezzo.errors import NonIntegralResult
-from delpezzo.numerics import ExactRatio, binomial, to_integer
+from delpezzo.numerics import (
+    binomial,
+    from_decimal_string,
+    to_decimal_string,
+    to_integer,
+)
 
 
 @pytest.mark.parametrize(
@@ -51,8 +56,28 @@ def test_to_integer_rejects_proper_fraction():
         to_integer(Fraction(3, 2), context="conic")
 
 
-def test_exact_ratio_is_fraction():
-    # The alias pins the exact-arithmetic substrate: no floats anywhere.
-    assert ExactRatio is Fraction
-    third = ExactRatio(1, 3)
-    assert third * 3 == 1
+
+# Past CPython's default limit of 4300 digits for int <-> str conversion.
+HUGE = 7**6000 + 1
+
+
+def test_decimal_strings_past_the_digit_limit():
+    text = to_decimal_string(HUGE)
+    assert len(text) > 4300
+    assert text.startswith("3874")
+    assert text.endswith("2")
+    assert from_decimal_string(text) == HUGE
+    assert from_decimal_string("-" + text) == -HUGE
+    assert to_decimal_string(-HUGE) == "-" + text
+    assert to_decimal_string(Fraction(HUGE, 3)) == f"{text}/3"
+    assert to_decimal_string(Fraction(3 * HUGE, 3)) == text
+
+
+def test_decimal_strings_agree_with_str_and_int():
+    for value in (0, -1, 12, 87304, 10**4299 - 1):
+        assert to_decimal_string(value) == str(value)
+        assert from_decimal_string(str(value)) == value
+    assert to_decimal_string(Fraction(-3, 2)) == "-3/2"
+    for bad in ("twelve", "1.5", "1e5", "", "9" * 5000 + "x", "NaN"):
+        with pytest.raises(ValueError):
+            from_decimal_string(bad)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from delpezzo.errors import InvalidClass, RankMismatch, RankOverflow
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from blowup_point import append_coefficient
 from splitting_box import splittings
 
 PLANE = Surface.blowup(0)
@@ -188,25 +189,25 @@ def test_genus_is_always_an_integer(beta):
     assert isinstance(TWO.blowup(3).genus(beta), int)
 
 
-# -- append_coefficient -------------------------------------------------------
+# -- append_coefficient (blowup_point.py) ------------------------------------
 
 
 def test_append_coefficient():
-    bigger, extended = PLANE.append_coefficient(CurveClass((4,)), sigma=-1)
+    bigger, extended = append_coefficient(PLANE, CurveClass((4,)), sigma=-1)
     assert bigger == ONE
     assert extended.coeffs == (4, 1)
-    bigger, extended = PLANE.append_coefficient(CurveClass((4,)), sigma=0)
+    bigger, extended = append_coefficient(PLANE, CurveClass((4,)), sigma=0)
     assert extended.coeffs == (4, 0)
 
 
 def test_append_coefficient_guards():
     with pytest.raises(InvalidClass):
-        PLANE.append_coefficient(CurveClass((4,)), sigma=1)
+        append_coefficient(PLANE, CurveClass((4,)), sigma=1)
     with pytest.raises(InvalidClass):
-        QUADRIC.append_coefficient(CurveClass((1, 1)), sigma=0)
+        append_coefficient(QUADRIC, CurveClass((1, 1)), sigma=0)
     full = Surface.blowup(8)
     with pytest.raises(RankOverflow):
-        full.append_coefficient(CurveClass((3,) + (1,) * 8), sigma=0)
+        append_coefficient(full, CurveClass((3,) + (1,) * 8), sigma=0)
 
 
 # -- the brute-force splitting oracle (splitting_box.py) ---------------------
