@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .errors import DelPezzoError
 from .genus0 import GwTable, n0, support_enumerate
@@ -42,6 +43,7 @@ from .genus2 import (
     reconcile,
 )
 from .numerics import to_decimal_string
+from .orbits import stabiliser_orbit
 from .surface import CurveClass, Surface, quadric_to_blowup_class
 
 __all__ = ["CheckResult", "run_suite", "render_text", "SCOPES"]
@@ -249,11 +251,16 @@ def _sweep_classes(scope: str):
 
 def _swap_symmetric(surface, beta, table) -> bool:
     # Every splitting summand is a fixed combination of (t0, t1, t2) and each
-    # of those is a summand up to a constant, so comparing them is exact.  A
-    # pair whose swapped partner is missing is asymmetric too.
-    terms = {
-        (b1.coeffs, b2.coeffs): t for b1, b2, t in _pair_terms(surface, beta, table)
-    }
+    # of those is a summand up to a constant, so comparing them is exact.  The
+    # walk yields one pair per orbit of the permutations of points fixing
+    # beta, on which the summand is constant; every ordered pair of every
+    # orbit is compared.  A pair whose swapped partner is missing is
+    # asymmetric too.
+    c = beta.coeffs
+    terms = {}
+    for weight, u, _, t in _pair_terms(surface, beta, table):
+        for member in (u,) if weight == 1 else stabiliser_orbit(c, u):
+            terms[(member, tuple(map(sub, c, member)))] = t
     return all(terms.get((b, a)) == t for (a, b), t in terms.items())
 
 

@@ -42,20 +42,34 @@ a generic point constraint, leaves the count unchanged and shrinks the
 lattice.
 
 Counts on blow-ups are invariant under permuting the blown-up points
-(Goettsche-Pandharipande), so the blow-up memo is keyed by orbit
-representatives ``(d, m_1 >= ... >= m_k)`` and every orbit is computed
-once.  Candidates are enumerated one non-increasing multiplicity tuple
-per orbit and then expanded into all permutations, because splittings
-need every member.
+(Goettsche-Pandharipande), so the engine works on point-permutation orbits
+throughout.  The memo is keyed by orbit representatives
+``(d, m_1 >= ... >= m_k)``, candidates are enumerated one non-increasing
+multiplicity tuple per orbit, and the support levels hold only those
+representatives.
 
 Splitting sums run over support levels: for each rank and anticanonical
-degree, the classes with nonzero count, bucketed by their first
-coordinate (the line degree, or ``a`` on the quadric).  Both are
+degree, the orbit representatives with nonzero count, bucketed by their
+first coordinate (the line degree, or ``a`` on the quadric).  Both are
 additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket ``e``
-of level ``D1`` only with the bucket ``beta[0] - e`` of level ``D - D1``:
-on blow-ups the walk joins the two, on the quadric each bucket holds one
-bidegree.  A complement missing from its bucket has count zero, because
-the candidates of a level contain every class that can carry curves.
+of level ``D1`` only with the bucket ``beta[0] - e`` of level ``D - D1``.
+On blow-ups the walk enumerates ``beta1`` up to the stabiliser of
+``beta``, the permutations of points of equal multiplicity: each
+representative of the smaller bucket is placed on the points of ``beta``
+once per way of giving every block of equal multiplicity a multiset of
+part multiplicities, weighted by the number of ways to arrange that
+multiset in the block, and the complement is one lookup of its orbit key
+in the other bucket.  Every summand of the relations and of the genus-two
+moments is invariant under the stabiliser, except the coordinates of the
+points a relation reads (``E_1`` in the one-point relation, ``E_1`` and
+``E_2`` in the four-divisor relation), which the walk keeps in blocks of
+their own.  On the quadric each bucket holds one bidegree and every
+weight is 1.  A complement missing from its bucket has count zero,
+because the candidates of a level contain every orbit that can carry
+curves.  Permutations are built only at the output: ``support_enumerate``
+and ``support_pairs`` expand the orbits into every member.  The orbit
+combinatorics (keys, blocks, placements, expansion) live in ``orbits``.
+
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up: only the drop and Cremona reductions nest, a
 few frames per step, whatever the degree.  All divisions are exact and
@@ -72,7 +86,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from math import isqrt
@@ -87,6 +100,16 @@ from .errors import (
     SurfaceMismatch,
 )
 from .numerics import binomial, from_decimal_string, to_decimal_string
+from .orbits import (
+    Coeffs,
+    block_sizes,
+    key_positions,
+    orbit_key,
+    orbit_rows,
+    placements,
+    runs,
+    stabiliser_orbit,
+)
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -94,6 +117,7 @@ __all__ = [
     "n0",
     "support_enumerate",
     "support_pairs",
+    "orbit_pairs",
     "load_cache",
     "save_cache",
     "CACHE_VERSION",
@@ -101,14 +125,10 @@ __all__ = [
 
 CACHE_VERSION = 1
 
-Coeffs = tuple[int, ...]
-# (anticanonical degree of the first part, c1, n0(c1), c2, n0(c2))
-Pair = tuple[int, Coeffs, int, Coeffs, int]
-
-
-def _orbit_key(c: Coeffs) -> Coeffs:
-    """Representative of the point-permutation orbit of a blow-up class."""
-    return (c[0], *sorted(c[1:], reverse=True))
+# (weight, anticanonical degree of the first part, c1, n0(c1), c2, n0(c2)):
+# one ordered splitting standing for ``weight`` of them, its images under
+# the permutations of the points that fix the split class.
+Pair = tuple[int, int, Coeffs, int, Coeffs, int]
 
 
 def _spread_cost(total: int, slots: int) -> int:
@@ -137,25 +157,6 @@ def _sorted_multiplicities(
             yield (m,) + rest
 
 
-def _distinct_permutations(values: Coeffs) -> Iterator[Coeffs]:
-    """Each distinct rearrangement of ``values`` once, in lexicographic order."""
-    counts = Counter(values)
-    keys = sorted(counts)
-
-    def arrange(left: int) -> Iterator[Coeffs]:
-        if left == 0:
-            yield ()
-            return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                for rest in arrange(left - 1):
-                    yield (v,) + rest
-                counts[v] += 1
-
-    return arrange(len(values))
-
-
 def _blowup_degree(c: Coeffs) -> int:
     return 3 * c[0] - sum(c[1:])
 
@@ -167,10 +168,9 @@ def _blowup_candidates(rank: int, degree: int) -> list[Coeffs]:
     These are the exceptional classes (degree 1) and the vectors with
     d >= 1, 0 <= m_i <= d and nonnegative genus, i.e.
     sum m_i (m_i - 1) <= (d-1)(d-2).  The degree bound on d comes from
-    combining the genus bound with Cauchy-Schwarz on sum m_i.  The
-    multiplicities are enumerated once per orbit (non-increasing) and
-    each representative is expanded into its distinct permutations;
-    the classes with d >= 1 come out in lexicographic order.
+    combining the genus bound with Cauchy-Schwarz on sum m_i.  One orbit
+    representative per point-permutation orbit: the multiplicities are
+    non-increasing, and the exceptional classes are ``(0, 0, ..., 0, -1)``.
     """
     k = rank - 1
     out: list[Coeffs] = []
@@ -179,23 +179,18 @@ def _blowup_candidates(rank: int, degree: int) -> list[Coeffs]:
             out.append((degree // 3,))
         return out
     if degree == 1:
-        for i in range(k):
-            out.append((0,) + tuple(-1 if j == i else 0 for j in range(k)))
+        out.append((0,) * k + (-1,))
     disc = 9 * degree * degree - (9 - k) * (degree * degree + k * degree - 2 * k)
     if disc < 0:
         return out
     d_lo = max(1, (degree + 2) // 3)
     d_hi = (3 * degree + isqrt(disc)) // (9 - k)
-    classes: list[Coeffs] = []
     for d in range(d_lo, d_hi + 1):
         target = 3 * d - degree
         if target < 0 or target > k * d:
             continue
         cap = (d - 1) * (d - 2)
-        for rep in _sorted_multiplicities(target, k, d, cap):
-            classes.extend((d,) + ms for ms in _distinct_permutations(rep))
-    classes.sort()
-    out.extend(classes)
+        out.extend((d,) + rep for rep in _sorted_multiplicities(target, k, d, cap))
     return out
 
 
@@ -222,21 +217,32 @@ class _Engine:
     length encodes the surface (length k+1 on k points), so the
     coefficient-dropping reduction reuses one memo across ranks.
 
-    ``support`` maps ``(rank, anticanonical degree)`` to that level's
-    classes with nonzero count, every permutation listed, bucketed by the
-    first coordinate: ``{c[0]: {coeffs: count}}``.  ``ensure`` fills the
-    levels in order of degree, the lattice's walk reads two of them per
-    splitting and ``support_enumerate`` reads them; nothing else stores
-    the support.
+    ``support`` maps ``(rank, anticanonical degree)`` to that level's orbit
+    representatives with nonzero count, bucketed by the first coordinate:
+    ``{c[0]: {key: count}}``.  ``ensure`` fills the levels in order of
+    degree, evaluating one candidate per orbit; the lattice's walk reads
+    two of them per splitting and ``support_enumerate`` expands them;
+    nothing else stores the support.
+
+    ``shapes`` caches ``orbits.runs`` of each representative's
+    multiplicities, and ``placements`` the ``orbits.placements`` of each
+    pair of run lengths and block sizes the walks meet: label patterns, one
+    per stabiliser orbit, shared by every representative of the same shape.
+
+    ``moments`` is the genus-two layer's memo on the same table: orbit key
+    to ``(n0, S0, S1, S2)``, each of which is invariant under permuting
+    the points.
     """
 
-    def __init__(self, surface: Surface, seed: Iterable[tuple[Coeffs, int]] = ()) -> None:
+    def __init__(self, surface: Surface) -> None:
         self.lattice = _BLOWUPS if surface.is_blowup else _QUADRIC
         self.dot = surface._dot
-        key = self.lattice.key
-        self.memo: dict[Coeffs, int] = {key(c): v for c, v in seed}
+        self.memo: dict[Coeffs, int] = {}
         self.support: dict[tuple[int, int], dict[int, dict[Coeffs, int]]] = {}
         self.ensured: dict[int, int] = {}
+        self.shapes: dict[Coeffs, tuple[Coeffs, Coeffs]] = {}
+        self.placements: dict[tuple[Coeffs, Coeffs], list[tuple[int, Coeffs]]] = {}
+        self.moments: dict[Coeffs, tuple[int, int, int, int]] = {}
 
     def value(self, c: Coeffs) -> int:
         key = self.lattice.key(c)
@@ -245,12 +251,13 @@ class _Engine:
             cached = self.memo[key] = self.lattice.reduce(self, key)
         return cached
 
-    def pairs(self, c: Coeffs) -> Iterator[Pair]:
-        """Ordered splittings of ``c`` into two classes with nonzero counts,
-        each with the anticanonical degree of its first part."""
+    def pairs(self, c: Coeffs, pinned: int = 0) -> Iterator[Pair]:
+        """Ordered splittings of the orbit key ``c`` into two classes with
+        nonzero counts, one per orbit of the permutations of points that fix
+        ``c`` and its first ``pinned`` points, weighted by the orbit size."""
         degree = self.lattice.degree(c)
         self.ensure(len(c), degree - 1)
-        return self.lattice.walk(self, c, degree)
+        return self.lattice.walk(self, c, degree, pinned)
 
     def ensure(self, rank: int, bound: int) -> None:
         """Fill the support levels of ``rank`` up to anticanonical degree ``bound``."""
@@ -264,11 +271,14 @@ class _Engine:
 
     # -- splitting walks ----------------------------------------------------
 
-    def _join_walk(self, c: Coeffs, degree: int) -> Iterator[Pair]:
-        """Blow-ups: join two levels on the line degree.  The smaller of two
-        matching buckets is walked and each complement is one lookup in the
-        other."""
+    def _orbit_walk(self, c: Coeffs, degree: int, pinned: int) -> Iterator[Pair]:
+        """Blow-ups: join two levels on the line degree.  Each representative
+        of the smaller of two matching buckets is placed on the points of
+        ``c`` once per stabiliser orbit, and each complement is one lookup
+        of its orbit key in the other bucket."""
         rank, d = len(c), c[0]
+        sizes = block_sizes(c, pinned)
+        points = c[1:]
         for degree1 in range(1, degree):
             partners = self.support[(rank, degree - degree1)]
             for e, bucket in self.support[(rank, degree1)].items():
@@ -276,20 +286,41 @@ class _Engine:
                 if not others:
                     continue
                 if len(bucket) <= len(others):
-                    for c1, n1 in bucket.items():
-                        c2 = tuple(map(sub, c, c1))
-                        if n2 := others.get(c2):
-                            yield degree1, c1, n1, c2, n2
+                    walked, looked_up, first = bucket, others, True
                 else:
-                    for c2, n2 in others.items():
-                        c1 = tuple(map(sub, c, c2))
-                        if n1 := bucket.get(c1):
-                            yield degree1, c1, n1, c2, n2
+                    walked, looked_up, first = others, bucket, False
+                for rep, n in walked.items():
+                    line = rep[0]
+                    for weight, ms in self._placed(rep, sizes):
+                        rest = map(sub, points, ms)
+                        if not (m := looked_up.get((d - line, *sorted(rest, reverse=True)))):
+                            continue
+                        part = (line, *ms)
+                        other = tuple(map(sub, c, part))
+                        if first:
+                            yield weight, degree1, part, n, other, m
+                        else:
+                            yield weight, degree1, other, m, part, n
 
-    def _bidegree_walk(self, c: Coeffs, degree: int) -> Iterator[Pair]:
+    def _placed(self, rep: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
+        """``(weight, multiplicities)`` for each placement of the
+        multiplicities of the representative ``rep`` on blocks of ``sizes``
+        (see ``orbits.placements``)."""
+        shape = self.shapes.get(rep)
+        if shape is None:
+            shape = self.shapes[rep] = runs(rep[1:])
+        values, counts = shape
+        patterns = self.placements.get((counts, sizes))
+        if patterns is None:
+            patterns = self.placements[(counts, sizes)] = placements(counts, sizes)
+        pick = values.__getitem__
+        return [(weight, tuple(map(pick, labels))) for weight, labels in patterns]
+
+    def _bidegree_walk(self, c: Coeffs, degree: int, pinned: int) -> Iterator[Pair]:
         """The quadric: level ``D1`` is read only at the first coordinates
         ``a1`` that leave a nonnegative complement, in increasing ``a1``;
-        each bucket holds the one bidegree ``(a1, D1/2 - a1)``."""
+        each bucket holds the one bidegree ``(a1, D1/2 - a1)``, and no
+        permutation acts, so every weight is 1."""
         a, b = c
         for degree1 in range(2, degree, 2):
             half1 = degree1 // 2
@@ -298,7 +329,7 @@ class _Engine:
                 if (bucket1 := level1.get(a1)) and (bucket2 := level2.get(a - a1)):
                     [(c1, n1)] = bucket1.items()
                     [(c2, n2)] = bucket2.items()
-                    yield degree1, c1, n1, c2, n2
+                    yield 1, degree1, c1, n1, c2, n2
 
     # -- reduction pipelines -------------------------------------------------
 
@@ -350,23 +381,23 @@ class _Engine:
         # row[delta1] = C(delta-3, delta1-1) for the 0 <= delta1 < delta of the parts.
         row = [binomial(delta - 3, r) for r in range(-1, delta)]
         total = 0
-        for degree1, c1, n1, c2, n2 in self.pairs(c):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
             delta1 = degree1 - 1
             bracket = c2[j] * row[delta1] - c1[j] * row[delta1 + 1]
-            total += n1 * n2 * (pairing * c1[i]) * bracket
+            total += weight * n1 * n2 * (pairing * c1[i]) * bracket
         return total
 
     def _one_point_relation(self, c: Coeffs, delta: int) -> int:
         # (A, B, C) = (E_1, L, E_1), E_1 of the largest multiplicity of the
         # representative; leading coefficient
-        # (E1.L)(beta.E1) - (E1.E1)(beta.L) = d.
+        # (E1.L)(beta.E1) - (E1.E1)(beta.L) = d.  The walk pins E_1.
         d = c[0]
         dot = self.dot
         total = 0
-        for degree1, c1, n1, c2, n2 in self.pairs(c):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, pinned=1):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
@@ -374,6 +405,7 @@ class _Engine:
             m1a, m1b = c1[1], c2[1]  # beta_i . E_1
             total += (
                 binomial(delta - 2, delta1)
+                * weight
                 * n1
                 * n2
                 * pairing
@@ -387,7 +419,8 @@ class _Engine:
 
     def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
         # (A, B, C, D) = (E_1, E_2, E_1, E_2), the two largest multiplicities
-        # of the representative; leading coefficient m_1^2 + m_2^2.
+        # of the representative; leading coefficient m_1^2 + m_2^2.  The
+        # walk pins E_1 and E_2.
         ms = c[1:]
         if len(ms) < 2:
             raise RecursionFailure(f"four-divisor relation needs two points at {c}")
@@ -396,7 +429,7 @@ class _Engine:
             raise RecursionFailure(f"four-divisor relation degenerates at {c}")
         dot = self.dot
         total = 0
-        for degree1, c1, n1, c2, n2 in self.pairs(c):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, pinned=2):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
@@ -405,6 +438,7 @@ class _Engine:
             pi2, pj2 = c2[1], c2[2]
             total += (
                 binomial(delta - 1, delta1)
+                * weight
                 * n1
                 * n2
                 * pairing
@@ -435,24 +469,27 @@ class _Lattice:
 
     key: Callable[[Coeffs], Coeffs]  # orbit representative: the memo key
     degree: Callable[[Coeffs], int]  # anticanonical degree
-    candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> classes
+    candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> representatives
+    rows: Callable[[Iterable[tuple[Coeffs, int]]], list[tuple[Coeffs, int]]]  # orbits -> members
     reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a representative
-    walk: Callable[[_Engine, Coeffs, int], Iterator[Pair]]  # (c, degree) -> pairs
+    walk: Callable[[_Engine, Coeffs, int, int], Iterator[Pair]]  # (c, degree, pinned)
     two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
 
 _BLOWUPS = _Lattice(
-    key=_orbit_key,
+    key=orbit_key,
     degree=_blowup_degree,
     candidates=_blowup_candidates,
+    rows=orbit_rows,
     reduce=_Engine._reduce_blowup,
-    walk=_Engine._join_walk,
+    walk=_Engine._orbit_walk,
     two_point=(0, 0),
 )
 _QUADRIC = _Lattice(
     key=tuple,
     degree=_quadric_degree,
     candidates=_quadric_candidates,
+    rows=list,
     reduce=_Engine._reduce_quadric,
     walk=_Engine._bidegree_walk,
     two_point=(1, 0),
@@ -499,8 +536,11 @@ class GwTable:
         self, surface: Surface, entries: Mapping[CurveClass, int] | None = None
     ) -> None:
         self.surface = surface
-        seed = ((cls.coeffs, value) for cls, value in (entries or {}).items())
-        self._engine = _Engine(surface, seed)
+        self._engine = _Engine(surface)
+        key = self._engine.lattice.key
+        self._engine.memo.update(
+            (key(cls.coeffs), value) for cls, value in (entries or {}).items()
+        )
 
     @property
     def entries(self) -> Mapping[CurveClass, int]:
@@ -533,6 +573,32 @@ def n0(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     return _engine(surface, table).value(beta.coeffs)
 
 
+def orbit_pairs(
+    surface: Surface, beta: CurveClass, table: GwTable | None = None
+) -> Iterator[Pair]:
+    """The splittings of :func:`support_pairs`, one per orbit of the
+    permutations of points that fix ``beta``, on coefficient tuples.
+
+    Yields ``(weight, deg1, c1, n0(c1), c2, n0(c2))`` with ``weight`` the
+    orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
+    the ordered splittings of a summand invariant under those permutations
+    is the weighted sum over these; on the quadric every weight is 1.  The
+    engine walks the orbit key of ``beta``; its parts are carried back to
+    the order of the points of ``beta``.
+    """
+    surface.check_class(beta)
+    engine = _engine(surface, table)
+    c = beta.coeffs
+    key = engine.lattice.key(c)
+    if key == c:
+        yield from engine.pairs(c)
+        return
+    back = key_positions(c)
+    for weight, degree1, k1, n1, k2, n2 in engine.pairs(key):
+        c1, c2 = tuple(map(k1.__getitem__, back)), tuple(map(k2.__getitem__, back))
+        yield weight, degree1, c1, n1, c2, n2
+
+
 def support_pairs(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
 ) -> Iterator[tuple[CurveClass, int, CurveClass, int]]:
@@ -540,29 +606,33 @@ def support_pairs(
 
     Yields ``(beta1, n0(beta1), beta2, n0(beta2))``.  This is the sum range
     shared by every splitting formula downstream: terms outside it vanish.
+    The engine walks one splitting per stabiliser orbit (see
+    :func:`orbit_pairs`); here every member of each orbit is listed.
     """
-    surface.check_class(beta)
-    for _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs):
-        yield CurveClass(c1), n1, CurveClass(c2), n2
+    c = beta.coeffs
+    for weight, _, c1, n1, _, n2 in orbit_pairs(surface, beta, table):
+        for m1 in (c1,) if weight == 1 else stabiliser_orbit(c, c1):
+            yield CurveClass(m1), n1, CurveClass(tuple(map(sub, c, m1))), n2
 
 
 def support_enumerate(
     surface: Surface, max_anticanonical_degree: int, table: GwTable | None = None
 ) -> list[tuple[CurveClass, int]]:
     """All classes with nonzero count and anticanonical degree up to the
-    bound, sorted lexicographically by coefficient vector."""
+    bound, sorted lexicographically by coefficient vector.  The support
+    levels hold one representative per orbit; every member is listed."""
     if max_anticanonical_degree < 1:
         raise InvalidClass("the anticanonical degree bound must be at least 1")
     engine = _engine(surface, table)
     engine.ensure(surface.rank, max_anticanonical_degree)
-    rows = [
-        (CurveClass(c), v)
+    rows = engine.lattice.rows(
+        item
         for degree in range(1, max_anticanonical_degree + 1)
         for bucket in engine.support[(surface.rank, degree)].values()
-        for c, v in bucket.items()
-    ]
-    rows.sort(key=lambda row: row[0].coeffs)
-    return rows
+        for item in bucket.items()
+    )
+    rows.sort()
+    return [(CurveClass(c), v) for c, v in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +644,8 @@ def support_enumerate(
 
 def save_cache(table: GwTable, path: str | Path) -> None:
     """Write the table atomically: the file at ``path`` is either the old one
-    or the complete new one, never a torn mix, also under concurrent runs."""
+    or the complete new one, never a torn mix, also under concurrent runs.
+    A file that already holds exactly these bytes is left untouched."""
     rows = sorted(table.entries._counts())
     document = {
         "version": CACHE_VERSION,
@@ -583,12 +654,18 @@ def save_cache(table: GwTable, path: str | Path) -> None:
             {"class": list(c), "n0": to_decimal_string(value)} for c, value in rows
         ],
     }
+    text = json.dumps(document, separators=(",", ":")) + "\n"
     target = Path(path)
+    try:
+        if target.read_bytes() == text.encode():
+            return
+    except OSError:
+        pass  # missing or unreadable: write it
     # One writer per process and thread at a time, so the name is its own.
     writer = f"{os.getpid()}.{threading.get_ident()}"
     partial = target.with_name(f".{target.name}.{writer}.tmp")
     try:
-        partial.write_text(json.dumps(document, separators=(",", ":")) + "\n")
+        partial.write_text(text)
         os.replace(partial, target)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -614,20 +691,22 @@ def load_cache(path: str | Path) -> GwTable:
         surface = Surface.parse(document["surface"])
     except (InvalidClass, TypeError) as exc:
         raise CacheFormatError(f"cache file {path}: {exc}") from exc
-    entries: dict[CurveClass, int] = {}
-    orbits: dict[Coeffs, int] = {}
     rows = document["entries"]
     if not isinstance(rows, list):
         raise CacheFormatError(f"cache file {path}: entries must be a list")
+    # The rows seed the table's memo directly, one orbit key per row.
+    table = GwTable(surface=surface)
+    memo = table._engine.memo
+    orbit_of = table._engine.lattice.key
+    rank = surface.rank
     for row in rows:
         if not isinstance(row, dict) or "class" not in row or "n0" not in row:
             raise CacheFormatError(f"cache file {path}: malformed entry {row!r}")
         vector = row["class"]
-        if not isinstance(vector, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in vector
-        ):
+        # type(c) is int also rules out bool, a subclass of int.
+        if not isinstance(vector, list) or not set(map(type, vector)) <= {int}:
             raise CacheFormatError(f"cache file {path}: bad class vector {vector!r}")
-        if len(vector) != surface.rank:
+        if len(vector) != rank:
             raise SurfaceMismatch(
                 f"cache file {path}: class {vector} does not fit "
                 f"{surface.descriptor}"
@@ -641,14 +720,14 @@ def load_cache(path: str | Path) -> GwTable:
             raise CacheFormatError(
                 f"cache file {path}: bad decimal string {raw!r}"
             ) from None
-        if surface.is_blowup:
-            # Counts are invariant under permuting the points, and the memo
-            # is seeded by orbit: conflicting members would make one win.
-            key = _orbit_key(tuple(vector))
-            if orbits.setdefault(key, value) != value:
+        orbit = orbit_of(tuple(vector))
+        # Counts are invariant under permuting the points, and the memo is
+        # keyed by orbit: conflicting members would make one win.
+        if memo.setdefault(orbit, value) != value:
+            if surface.is_blowup:
                 raise CacheFormatError(
                     f"cache file {path}: class {vector} has count {value}, but"
-                    f" a permutation of it has {orbits[key]}"
+                    f" a permutation of it has {memo[orbit]}"
                 )
-        entries[CurveClass(tuple(vector))] = value
-    return GwTable(surface=surface, entries=entries)
+            memo[orbit] = value
+    return table

@@ -15,7 +15,13 @@ moments, summed over those ordered pairs:
     S2 = sum w n1 n2 (b1.b2) b1^2 b2^2
 
 Each summand is invariant under swapping the two parts, because
-C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)).  In this basis:
+C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)), and under the
+permutations of blown-up points that fix ``beta``, because counts,
+pairings and degrees are.  So the moments are read from one walk of the
+ordered pairs up to that stabiliser: one pair per orbit, its summand
+weighted by the orbit size (``genus0.orbit_pairs``).  ``n0`` and the
+moments are also invariant under every permutation of the points, so a
+table computes them once per orbit of ``beta``.  In this basis:
 
     rt2       = (4 + 2 b2) beta^2 n0 + S2
     taut      = (x1^2/deg) n0 - S1/(2 deg)
@@ -58,8 +64,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
-from .genus0 import GwTable, n0, support_pairs
+from .genus0 import GwTable, _engine, n0, orbit_pairs
 from .numerics import binomial, to_decimal_string, to_integer
+from .orbits import Coeffs
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -84,26 +91,26 @@ __all__ = [
 
 def _pair_terms(
     surface: Surface, beta: CurveClass, table: GwTable | None
-) -> Iterator[tuple[CurveClass, CurveClass, tuple[int, int, int]]]:
-    """The summands of ``S0, S1, S2`` for each ordered splitting of ``beta``:
-    ``(beta1, beta2, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with
-    ``t0 = w n1 n2 (b1.b2)``.
+) -> Iterator[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]]:
+    """The summands of ``S0, S1, S2``, one per orbit of ordered splittings
+    of ``beta`` under the permutations of points that fix ``beta``:
+    ``(weight, u, v, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with ``u``, ``v``
+    the coefficient tuples of one member ``(beta1, beta2)``, ``weight`` the
+    orbit size and ``t0 = w n1 n2 (b1.b2)``.  Each summand is the same on
+    every member of its orbit, so ``S_i`` is the weighted sum.
 
     ``beta`` is validated once per call.  The parts come from the genus-zero
     engine, which only builds classes of the surface's rank, so each pair's
-    ``b1.b2``, ``deg1 = x1.b1``, ``b1^2`` and ``b2^2`` are read off the
-    coefficient tuples with the unchecked pairing ``Surface._dot``.  The rest
-    follows from additivity of the degree: ``deg2 = deg - deg1`` and
+    ``b1.b2``, ``b1^2`` and ``b2^2`` are read off the coefficient tuples with
+    the unchecked pairing ``Surface._dot``.  The rest follows from
+    additivity of the degree: ``deg2 = deg - deg1`` and
     ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``.
     """
     deg = surface.anticanonical_degree(beta)
-    x1 = surface.anticanonical.coeffs
     dot = surface._dot
-    for beta1, count1, beta2, count2 in support_pairs(surface, beta, table):
-        u, v = beta1.coeffs, beta2.coeffs
-        deg1 = dot(x1, u)
+    for weight, deg1, u, count1, v, count2 in orbit_pairs(surface, beta, table):
         t0 = binomial(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
-        yield beta1, beta2, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
+        yield weight, u, v, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
 
 
 @dataclass(frozen=True)
@@ -180,7 +187,10 @@ class _Moments:
 
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
     """One ``n0`` call and one splitting pass: everything the genus-two
-    quantities of ``beta`` need."""
+    quantities of ``beta`` need.  ``n0`` and the moments are invariant
+    under permuting the points, so the table's engine keeps them per orbit
+    key and each orbit is walked once per table; the record is rebuilt
+    around the caller's ``beta``."""
     if table is None:
         table = GwTable(surface)
     deg = surface.anticanonical_degree(beta)
@@ -189,12 +199,18 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
-    count = n0(surface, beta, table)
-    s0 = s1 = s2 = 0
-    for _, _, (t0, t1, t2) in _pair_terms(surface, beta, table):
-        s0 += t0
-        s1 += t1
-        s2 += t2
+    engine = _engine(surface, table)
+    key = engine.lattice.key(beta.coeffs)
+    stored = engine.moments.get(key)
+    if stored is None:
+        count = n0(surface, beta, table)
+        s0 = s1 = s2 = 0
+        for weight, _, _, (t0, t1, t2) in _pair_terms(surface, beta, table):
+            s0 += weight * t0
+            s1 += weight * t1
+            s2 += weight * t2
+        stored = engine.moments[key] = (count, s0, s1, s2)
+    count, s0, s1, s2 = stored
     return _Moments(
         beta=beta,
         deg=deg,

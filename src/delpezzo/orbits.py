@@ -1,0 +1,169 @@
+"""Point-permutation orbits of blow-up classes.
+
+A blow-up class ``(d, m_1, ..., m_k)`` has the same genus-zero count as
+every class obtained by permuting its multiplicities, so the genus-zero
+engine stores one representative per orbit, ``orbit_key``: the
+multiplicities in non-increasing order.  The points of a representative
+with equal multiplicity form blocks of consecutive indices, and the
+permutations within blocks are its stabiliser.
+
+``placements`` enumerates the ways to put the multiplicities of one
+representative on the points of another, one per orbit of that
+stabiliser, with the orbit size as weight: the splitting walk of the
+engine is a walk over placements.  The rest expands orbits into their
+members, which only the output boundary does.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from itertools import accumulate, combinations, product
+from math import comb
+
+Coeffs = tuple[int, ...]
+
+
+def orbit_key(c: Coeffs) -> Coeffs:
+    """Representative of the point-permutation orbit of a blow-up class."""
+    return (c[0], *sorted(c[1:], reverse=True))
+
+
+def runs(values: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """The distinct entries of a non-increasing tuple and their multiplicities."""
+    distinct: list[int] = []
+    counts: list[int] = []
+    for v in values:
+        if distinct and distinct[-1] == v:
+            counts[-1] += 1
+        else:
+            distinct.append(v)
+            counts.append(1)
+    return tuple(distinct), tuple(counts)
+
+
+def block_sizes(c: Coeffs, pinned: int) -> Coeffs:
+    """The sizes of the blocks of points of equal multiplicity of an orbit
+    representative ``c``, in index order; each of the first ``pinned``
+    points is a block of its own.  The blocks of a representative are runs
+    of consecutive indices, and the permutations within blocks form the
+    stabiliser of ``c`` and of its pinned points."""
+    return (1,) * pinned + runs(c[pinned + 1:])[1]
+
+
+def placements(counts: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
+    """The ways to place a multiset with run lengths ``counts`` on points in
+    consecutive blocks of ``sizes``, one per orbit of the permutations
+    within blocks, as ``(orbit size, labels)``: ``labels[p]`` is the index
+    of the run whose value goes on the ``p``-th point.
+
+    Runs are placed in order, each spread over the blocks with free
+    points; a block fills its points in order, so it gets one sorted
+    multiset of runs and each orbit is met once.  Putting ``n`` copies on
+    ``f`` free points of a block multiplies the weight by ``C(f, n)``: the
+    product is the multinomial number of ways to arrange each block's
+    multiset.  Blocks with one free point take a combination of copies.
+    With blocks of one point each, the placements are the distinct
+    arrangements of the multiset, each of weight 1.
+    """
+    ends = list(accumulate(sizes))
+    free = list(sizes)
+    labels = [0] * sum(sizes)
+    out: list[tuple[int, Coeffs]] = []
+    last = len(counts) - 1
+
+    def place(run: int, weight: int) -> None:
+        if run >= last:
+            # The last run fills what is left.
+            for end, f in zip(ends, free):
+                labels[end - f:end] = [run] * f
+            out.append((weight, tuple(labels)))
+            return
+        wide = [b for b, f in enumerate(free) if f > 1]
+        ones = [b for b, f in enumerate(free) if f == 1]
+        spread(run, wide, 0, counts[run], weight, ones)
+
+    def spread(run: int, wide: list[int], i: int, left: int, weight: int,
+               ones: list[int]) -> None:
+        if i < len(wide):
+            b = wide[i]
+            f = free[b]
+            first = ends[b] - f
+            for n in range(min(left, f), -1, -1):
+                labels[first:first + n] = [run] * n
+                free[b] = f - n
+                spread(run, wide, i + 1, left - n, weight * comb(f, n), ones)
+            free[b] = f
+            return
+        if run + 1 < last:
+            for chosen in combinations(ones, left):
+                for b in chosen:
+                    labels[ends[b] - 1] = run
+                    free[b] = 0
+                place(run + 1, weight)
+                for b in chosen:
+                    free[b] = 1
+            return
+        # The last run fills every point this one leaves free.
+        for end, f in zip(ends, free):
+            labels[end - f:end] = [last] * f
+        for chosen in combinations(ones, left):
+            for b in chosen:
+                labels[ends[b] - 1] = run
+            out.append((weight, tuple(labels)))
+            for b in chosen:
+                labels[ends[b] - 1] = last
+
+    place(0, 1)
+    return out
+
+
+def arrangements(values: Coeffs) -> list[Coeffs]:
+    """Each distinct rearrangement of ``values`` once."""
+    distinct, counts = runs(tuple(sorted(values, reverse=True)))
+    pick = distinct.__getitem__
+    return [tuple(map(pick, labels)) for _, labels in placements(counts, (1,) * len(values))]
+
+
+def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
+    """``(member, count)`` for every member of the point-permutation orbit of
+    each ``(representative, count)``; representatives with the same run
+    lengths share one list of arrangements."""
+    shared: dict[Coeffs, list[tuple[int, Coeffs]]] = {}
+    rows: list[tuple[Coeffs, int]] = []
+    for rep, value in items:
+        values, counts = runs(rep[1:])
+        labels = shared.get(counts)
+        if labels is None:
+            labels = shared[counts] = placements(counts, (1,) * (len(rep) - 1))
+        pick = values.__getitem__
+        d = rep[0]
+        rows.extend([((d, *map(pick, label)), value) for _, label in labels])
+    return rows
+
+
+def stabiliser_orbit(c: Coeffs, c1: Coeffs) -> Iterator[Coeffs]:
+    """Every image of ``c1`` under the permutations of points that fix ``c``."""
+    blocks: dict[int, list[int]] = {}
+    for p in range(1, len(c)):
+        blocks.setdefault(c[p], []).append(p)
+    choices = [
+        [(block, values) for values in arrangements(tuple(c1[p] for p in block))]
+        for block in blocks.values()
+        if len(block) > 1
+    ]
+    for choice in product(*choices):
+        member = list(c1)
+        for block, values in choice:
+            for p, v in zip(block, values):
+                member[p] = v
+        yield tuple(member)
+
+
+def key_positions(c: Coeffs) -> Coeffs:
+    """``back`` with ``c == tuple(map(orbit_key(c).__getitem__, back))``:
+    where each coordinate of the blow-up class ``c`` sits in its orbit key."""
+    back = [0] * len(c)
+    order = sorted(range(1, len(c)), key=lambda p: -c[p])
+    for i, p in enumerate(order, 1):
+        back[p] = i
+    return tuple(back)

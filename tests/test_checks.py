@@ -7,7 +7,8 @@ import pytest
 from delpezzo import checks
 from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
 from delpezzo.cli import main
-from delpezzo.genus0 import support_pairs
+from delpezzo.genus0 import orbit_pairs
+from delpezzo.orbits import orbit_key
 
 
 @pytest.fixture(scope="module")
@@ -107,20 +108,25 @@ def test_failure_renders_as_fail():
 
 
 def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
-    # One walk for the genus-two quantities, one for the swap-symmetry test.
+    # One walk per orbit for the genus-two quantities, whose moments the
+    # table keeps per orbit key, and one per class for the swap-symmetry
+    # test.  The counter wraps the walk the moment pass reads.
     walks = Counter()
 
     def counting(surface, beta, table=None):
         walks[(surface.descriptor, beta)] += 1
-        yield from support_pairs(surface, beta, table)
+        yield from orbit_pairs(surface, beta, table)
 
-    monkeypatch.setattr("delpezzo.genus2.support_pairs", counting)
+    monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
     result, identity = _check_sweep("blowups")
     assert result.status == identity.status == "pass"
     assert "247 classes examined" in result.justification
     assert "247 classes examined" in identity.justification
     assert len(walks) == 247
     assert max(walks.values()) <= 2
+    orbits = {(descriptor, orbit_key(beta.coeffs)) for descriptor, beta in walks}
+    assert len(orbits) < 247
+    assert sum(walks.values()) == 247 + len(orbits)
 
 
 def test_sweep_fails_on_a_missing_swap_partner(monkeypatch, capsys):
@@ -130,10 +136,10 @@ def test_sweep_fails_on_a_missing_swap_partner(monkeypatch, capsys):
 
     def drop_one(surface, beta, table):
         terms = real(surface, beta, table)
-        for b1, b2, t in terms:
+        for weight, b1, b2, t in terms:
             if b1 != b2:
                 break  # the first pair with distinct parts goes missing
-            yield b1, b2, t
+            yield weight, b1, b2, t
         yield from terms
 
     monkeypatch.setattr(checks, "_pair_terms", drop_one)

@@ -281,6 +281,25 @@ def test_cache_round_trip(tmp_path, capsys):
     assert cache.read_bytes() == stored  # canonical serialization is stable
 
 
+def test_unchanged_cache_is_left_untouched(tmp_path, capsys):
+    cache = tmp_path / "k2.json"
+    query = ["count", "genus0", "--surface", "blp2:k=2", "--cache", str(cache)]
+    assert run(capsys, *query, "--class", "3,1,1")[0] == 0
+    os.utime(cache, ns=(1, 1))  # no write leaves this modification time
+    before = cache.stat()
+    stored = cache.read_bytes()
+    assert run(capsys, *query, "--class", "3,1,1")[0] == 0
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert os.listdir(tmp_path) == [cache.name]
+    # A query that grows the table still writes it back.
+    assert run(capsys, *query, "--class", "5,2,2")[0] == 0
+    grown = cache.stat()
+    assert grown.st_mtime_ns != before.st_mtime_ns
+    assert cache.read_bytes() != stored
+    assert os.listdir(tmp_path) == [cache.name]
+
+
 def test_cached_and_uncached_values_agree(tmp_path, capsys):
     args = ["table", "genus0", "--surface", "blp2:k=1", "--max-anticanonical", "9",
             "--format", "json"]

@@ -1,0 +1,189 @@
+"""The genus-zero engine walks splittings once per stabiliser orbit.
+
+A class ``beta`` on a blow-up is fixed by the permutations of points of
+equal multiplicity.  The engine yields one ordered splitting per orbit of
+that stabiliser, weighted by the orbit size, and only the output expands
+orbits into members.  These tests hold the walk against the brute-force
+splitting box of ``splitting_box.py`` and against brute-force orbits built
+here from ``itertools.permutations``, on classes with repeated
+multiplicities where the orbits are larger than one pair.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+
+import pytest
+
+from delpezzo.genus0 import GwTable, n0, orbit_pairs, support_pairs
+from delpezzo.genus2 import _moments
+from delpezzo.numerics import binomial
+from delpezzo.orbits import orbit_key
+from delpezzo.surface import CurveClass, Surface
+from splitting_box import splittings
+
+# Classes with repeated multiplicities on k = 3..8 points, small enough for
+# the box (which grows like (d + 2)^k), some of them not orbit keys.
+REPEATED = [
+    (3, (4, 2, 2, 1)),
+    (3, (5, 2, 2, 2)),
+    (3, (4, 1, 2, 2)),
+    (4, (5, 2, 2, 1, 1)),
+    (4, (5, 1, 2, 1, 2)),
+    (5, (4, 2, 1, 1, 1, 1)),
+    (6, (4, 2, 1, 1, 1, 1, 1)),
+    (7, (2, 1, 1, 1, 1, 0, 0, 0)),
+    (8, (2, 0, 1, 0, 1, 0, 1, 1, 0)),
+]
+IDS = [f"k{k}-{','.join(map(str, c))}" for k, c in REPEATED]
+
+
+def _stabiliser_images(beta: tuple[int, ...], part: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Brute force: the images of ``part`` under every permutation of the
+    points that fixes ``beta``."""
+    points = range(1, len(beta))
+    images = set()
+    for perm in itertools.permutations(points):
+        if all(beta[p] == beta[q] for p, q in zip(points, perm)):
+            images.add((part[0], *(part[q] for q in perm)))
+    return images
+
+
+@pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
+def test_expanded_orbit_pairs_match_the_box(k, coeffs):
+    surface, beta = Surface.blowup(k), CurveClass(coeffs)
+    table = GwTable(surface=surface)
+    box = Counter()
+    for b1, b2 in splittings(surface, beta):
+        n1, n2 = n0(surface, b1, table), n0(surface, b2, table)
+        if n1 and n2:
+            box[(b1.coeffs, n1, b2.coeffs, n2)] += 1
+    expanded = Counter(
+        (b1.coeffs, n1, b2.coeffs, n2) for b1, n1, b2, n2 in support_pairs(surface, beta, table)
+    )
+    orbits = list(orbit_pairs(surface, beta, table))
+    assert expanded == box
+    assert len(orbits) < sum(box.values())  # the stabiliser is not trivial here
+
+
+@pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
+def test_orbit_weights_count_their_members(k, coeffs):
+    surface, beta = Surface.blowup(k), CurveClass(coeffs)
+    table = GwTable(surface=surface)
+    covered = set()
+    for weight, degree1, c1, n1, c2, n2 in orbit_pairs(surface, beta, table):
+        images = _stabiliser_images(coeffs, c1)
+        assert weight == len(images)
+        assert not images & covered  # one pair per orbit
+        covered |= images
+        assert c2 == tuple(a - b for a, b in zip(coeffs, c1))
+        assert degree1 == surface.anticanonical_degree(CurveClass(c1))
+        assert (n1, n2) == (n0(surface, CurveClass(c1)), n0(surface, CurveClass(c2)))
+    assert covered == {b1.coeffs for b1, *_ in support_pairs(surface, beta, table)}
+
+
+# The summands of the three relations, with (A, B) = (L, L) for two points,
+# (E_1, L, E_1) for one point and (E_1, E_2, E_1, E_2) for none; E_1 and E_2
+# are read off the first two points, which the walk must pin.
+def _two_point(delta, degree1, c1, c2, pairing):
+    delta1 = degree1 - 1
+    bracket = c2[0] * binomial(delta - 3, delta1 - 1) - c1[0] * binomial(delta - 3, delta1)
+    return pairing * c1[0] * bracket
+
+
+def _one_point(delta, degree1, c1, c2, pairing):
+    return binomial(delta - 2, degree1 - 1) * pairing * c1[1] * (c1[1] * c2[0] - c1[0] * c2[1])
+
+
+def _four_divisor(delta, degree1, c1, c2, pairing):
+    return binomial(delta - 1, degree1 - 1) * pairing * (
+        c1[1] ** 2 * c2[2] ** 2 - c1[1] * c1[2] * c2[1] * c2[2]
+    )
+
+
+RELATIONS = [(_two_point, 0), (_one_point, 1), (_four_divisor, 2)]
+
+
+@pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
+def test_weighted_relation_sums_match_the_pair_sums(k, coeffs):
+    surface = Surface.blowup(k)
+    key = orbit_key(coeffs)
+    delta = surface.delta(CurveClass(key))
+    table = GwTable(surface=surface)
+    engine = table._engine
+    dot = surface._dot
+    pairs = [(b1.coeffs, n1, b2.coeffs, n2)
+             for b1, n1, b2, n2 in support_pairs(surface, CurveClass(key), table)]
+    for summand, pinned in RELATIONS:
+        expected = sum(
+            n1 * n2 * summand(delta, surface.delta(CurveClass(c1)) + 1, c1, c2, dot(c1, c2))
+            for c1, n1, c2, n2 in pairs
+        )
+        weighted = sum(
+            weight * n1 * n2 * summand(delta, degree1, c1, c2, dot(c1, c2))
+            for weight, degree1, c1, n1, c2, n2 in engine.pairs(key, pinned)
+        )
+        assert weighted == expected, summand.__name__
+
+
+def test_pinning_the_read_points_matters():
+    # On (5; 2, 2, 2) the points are one block; without pinning E_1 the
+    # walk places the largest part multiplicity first, and the one-point
+    # sum comes out wrong.  The test above would catch a walk that forgot
+    # to pin.
+    surface = Surface.blowup(3)
+    key = (5, 2, 2, 2)
+    table = GwTable(surface=surface)
+    engine, dot = table._engine, surface._dot
+    delta = surface.delta(CurveClass(key))
+    sums = [
+        sum(
+            weight * n1 * n2 * _one_point(delta, degree1, c1, c2, dot(c1, c2))
+            for weight, degree1, c1, n1, c2, n2 in engine.pairs(key, pinned)
+        )
+        for pinned in (0, 1)
+    ]
+    assert sums[0] != sums[1]
+
+
+@pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
+def test_weighted_moments_match_the_pair_sums(k, coeffs):
+    surface, beta = Surface.blowup(k), CurveClass(coeffs)
+    table = GwTable(surface=surface)
+    deg = surface.anticanonical_degree(beta)
+    sums = [0, 0, 0]
+    for b1, n1, b2, n2 in support_pairs(surface, beta, table):
+        t0 = binomial(deg - 2, surface.delta(b1)) * n1 * n2 * surface.intersect(b1, b2)
+        sums[0] += t0
+        sums[1] += t0 * surface.anticanonical_degree(b1) * surface.anticanonical_degree(b2)
+        sums[2] += t0 * surface.self_intersection(b1) * surface.self_intersection(b2)
+    moments = _moments(surface, beta, table)
+    assert [moments.s0, moments.s1, moments.s2] == sums
+    assert moments.beta == beta
+
+
+def test_moments_are_kept_per_orbit_and_rebuilt_for_the_caller():
+    surface = Surface.blowup(3)
+    table = GwTable(surface=surface)
+    first, second = CurveClass((5, 2, 1, 2)), CurveClass((5, 2, 2, 1))
+    a = _moments(surface, first, table)
+    assert list(table._engine.moments) == [(5, 2, 2, 1)]
+    b = _moments(surface, second, table)
+    assert len(table._engine.moments) == 1
+    assert (a.beta, b.beta) == (first, second)
+    assert (a.n0, a.s0, a.s1, a.s2) == (b.n0, b.s0, b.s1, b.s2)
+
+
+def test_levels_hold_orbit_keys_only():
+    surface = Surface.blowup(8)
+    table = GwTable(surface=surface)
+    beta = CurveClass((8, 4, 2, 2, 2, 2, 2, 2, 2))
+    assert surface.anticanonical_degree(beta) == 6
+    n0(surface, beta, table)
+    engine = table._engine
+    assert engine.ensured[9] == 5
+    keys = [c for level in engine.support.values() for bucket in level.values() for c in bucket]
+    assert len(keys) > 1000
+    assert all(c == orbit_key(c) for c in keys)
+    assert all(c == orbit_key(c) for c in engine.memo)
