@@ -14,7 +14,9 @@ Check groups:
 * ``genus2-blow-down-4L`` — the quartic count is unchanged when a point is
   blown up off the curve or on it with multiplicity one.
 * ``sweep-*`` — integrality of every genus-two quantity and termwise swap
-  symmetry of every splitting sum over a lattice sweep.
+  symmetry of every splitting sum over a lattice sweep: each stabiliser
+  orbit of splittings and its swapped orbit carry the same weight and
+  summand.
 * ``vanish-*`` — the fixed-complex-structure count vanishes on classes
   whose members have genus at most one.
 * ``zinger-plane`` — the lattice formula, its plane specialization, and
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
 
 from .errors import DelPezzoError
 from .genus0 import GwTable, n0, support_enumerate
@@ -43,7 +44,6 @@ from .genus2 import (
     reconcile,
 )
 from .numerics import to_decimal_string
-from .orbits import stabiliser_orbit
 from .surface import CurveClass, Surface, quadric_to_blowup_class
 
 __all__ = ["CheckResult", "run_suite", "render_text", "SCOPES"]
@@ -253,15 +253,19 @@ def _swap_symmetric(surface, beta, table) -> bool:
     # Every splitting summand is a fixed combination of (t0, t1, t2) and each
     # of those is a summand up to a constant, so comparing them is exact.  The
     # walk yields one pair per orbit of the permutations of points fixing
-    # beta, on which the summand is constant; every ordered pair of every
-    # orbit is compared.  A pair whose swapped partner is missing is
-    # asymmetric too.
+    # beta, keyed here by the part's multiplicities sorted within each block
+    # of equal multiplicity of beta.  Swapping the parts maps an orbit onto
+    # an orbit of the same size, so the swapped orbit must have been walked
+    # too, with the same weight and summand.
     c = beta.coeffs
+
+    def orbit(u):
+        return (u[0], *sorted(zip(c[1:], u[1:])))
+
     terms = {}
-    for weight, u, _, t in _pair_terms(surface, beta, table):
-        for member in (u,) if weight == 1 else stabiliser_orbit(c, u):
-            terms[(member, tuple(map(sub, c, member)))] = t
-    return all(terms.get((b, a)) == t for (a, b), t in terms.items())
+    for weight, u, v, t in _pair_terms(surface, beta, table):
+        terms[(orbit(u), orbit(v))] = weight, t
+    return all(terms.get((b, a)) == term for (a, b), term in terms.items())
 
 
 def _check_sweep(scope: str) -> list[CheckResult]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import os
@@ -40,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 
 from .checks import SCOPES, render_text, run_suite
-from .errors import CacheFormatError, DelPezzoError, SurfaceMismatch
+from .errors import CacheFormatError, DelPezzoError
 from .genus0 import GwTable, load_cache, n0, save_cache, support_enumerate
 from .genus2 import (
     applicability_warnings,
@@ -366,17 +367,19 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"count": _cmd_count, "table": _cmd_table, "check": _cmd_check}
+    # A full pass of the cyclic collector walks every tracked object, for
+    # milliseconds, in whichever step crosses its count: held back while
+    # the command runs, it is made at the end if it fell due.
+    thresholds = gc.get_threshold()
+    gc.set_threshold(*thresholds[:2], 1 << 30)
     try:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        handlers = {"count": _cmd_count, "table": _cmd_table, "check": _cmd_check}
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"delpezzo: error: {exc}", file=sys.stderr)
         return 1
-    except SurfaceMismatch as exc:
-        print(f"delpezzo: error: {exc}", file=sys.stderr)
-        return 2
     except DelPezzoError as exc:
         print(f"delpezzo: error: {exc}", file=sys.stderr)
         return 2
@@ -387,6 +390,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    finally:
+        gc.set_threshold(*thresholds)
+        if gc.isenabled() and thresholds[0] and gc.get_count()[2] > thresholds[2]:
+            gc.collect()
 
 
 if __name__ == "__main__":

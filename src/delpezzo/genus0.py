@@ -67,8 +67,10 @@ their own.  On the quadric each bucket holds one bidegree and every
 weight is 1.  A complement missing from its bucket has count zero,
 because the candidates of a level contain every orbit that can carry
 curves.  Permutations are built only at the output: ``support_enumerate``
-and ``support_pairs`` expand the orbits into every member.  The orbit
-combinatorics (keys, blocks, placements, expansion) live in ``orbits``.
+expands the orbits into every member, and ``support_pairs`` is the same
+walk with every point pinned, so each of its orbits is one ordered pair.
+The orbit combinatorics (keys, blocks, placements, expansion) live in
+``orbits``.
 
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up: only the drop and Cremona reductions nest, a
@@ -108,7 +110,6 @@ from .orbits import (
     orbit_rows,
     placements,
     runs,
-    stabiliser_orbit,
 )
 from .surface import CurveClass, Surface
 
@@ -573,6 +574,24 @@ def n0(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     return _engine(surface, table).value(beta.coeffs)
 
 
+def _walk(
+    surface: Surface, beta: CurveClass, table: GwTable | None, pinned: int
+) -> Iterator[Pair]:
+    """The engine's walk of ``beta`` with its first ``pinned`` points pinned
+    (the quadric has none to pin)."""
+    surface.check_class(beta)
+    engine = _engine(surface, table)
+    c = beta.coeffs
+    key = engine.lattice.key(c)
+    if key == c:
+        yield from engine.pairs(c, pinned)
+        return
+    back = key_positions(c)
+    for weight, degree1, k1, n1, k2, n2 in engine.pairs(key, pinned):
+        c1, c2 = tuple(map(k1.__getitem__, back)), tuple(map(k2.__getitem__, back))
+        yield weight, degree1, c1, n1, c2, n2
+
+
 def orbit_pairs(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
 ) -> Iterator[Pair]:
@@ -586,17 +605,7 @@ def orbit_pairs(
     engine walks the orbit key of ``beta``; its parts are carried back to
     the order of the points of ``beta``.
     """
-    surface.check_class(beta)
-    engine = _engine(surface, table)
-    c = beta.coeffs
-    key = engine.lattice.key(c)
-    if key == c:
-        yield from engine.pairs(c)
-        return
-    back = key_positions(c)
-    for weight, degree1, k1, n1, k2, n2 in engine.pairs(key):
-        c1, c2 = tuple(map(k1.__getitem__, back)), tuple(map(k2.__getitem__, back))
-        yield weight, degree1, c1, n1, c2, n2
+    return _walk(surface, beta, table, 0)
 
 
 def support_pairs(
@@ -606,13 +615,12 @@ def support_pairs(
 
     Yields ``(beta1, n0(beta1), beta2, n0(beta2))``.  This is the sum range
     shared by every splitting formula downstream: terms outside it vanish.
-    The engine walks one splitting per stabiliser orbit (see
-    :func:`orbit_pairs`); here every member of each orbit is listed.
+    It is the engine's walk (see :func:`orbit_pairs`) with every point
+    pinned: each block of points is then a single point, so every orbit
+    is one ordered pair of weight 1.
     """
-    c = beta.coeffs
-    for weight, _, c1, n1, _, n2 in orbit_pairs(surface, beta, table):
-        for m1 in (c1,) if weight == 1 else stabiliser_orbit(c, c1):
-            yield CurveClass(m1), n1, CurveClass(tuple(map(sub, c, m1))), n2
+    for _, _, c1, n1, c2, n2 in _walk(surface, beta, table, surface.k):
+        yield CurveClass(c1), n1, CurveClass(c2), n2
 
 
 def support_enumerate(
@@ -722,12 +730,11 @@ def load_cache(path: str | Path) -> GwTable:
             ) from None
         orbit = orbit_of(tuple(vector))
         # Counts are invariant under permuting the points, and the memo is
-        # keyed by orbit: conflicting members would make one win.
+        # keyed by orbit: the rows of one orbit, and the rows of a class
+        # listed twice, must agree.
         if memo.setdefault(orbit, value) != value:
-            if surface.is_blowup:
-                raise CacheFormatError(
-                    f"cache file {path}: class {vector} has count {value}, but"
-                    f" a permutation of it has {memo[orbit]}"
-                )
-            memo[orbit] = value
+            raise CacheFormatError(
+                f"cache file {path}: class {vector} has count {value}, but"
+                f" an earlier row for it or a permutation of it has {memo[orbit]}"
+            )
     return table

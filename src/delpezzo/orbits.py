@@ -10,14 +10,15 @@ permutations within blocks are its stabiliser.
 ``placements`` enumerates the ways to put the multiplicities of one
 representative on the points of another, one per orbit of that
 stabiliser, with the orbit size as weight: the splitting walk of the
-engine is a walk over placements.  The rest expands orbits into their
-members, which only the output boundary does.
+engine is a walk over placements.  With every point a block of its own,
+the placements are the members themselves, each of weight 1: that is how
+the output boundary expands orbits, which only it does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import accumulate, combinations, product
+from collections.abc import Iterable
+from itertools import accumulate, combinations
 from math import comb
 
 Coeffs = tuple[int, ...]
@@ -117,13 +118,6 @@ def placements(counts: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
     return out
 
 
-def arrangements(values: Coeffs) -> list[Coeffs]:
-    """Each distinct rearrangement of ``values`` once."""
-    distinct, counts = runs(tuple(sorted(values, reverse=True)))
-    pick = distinct.__getitem__
-    return [tuple(map(pick, labels)) for _, labels in placements(counts, (1,) * len(values))]
-
-
 def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
     """``(member, count)`` for every member of the point-permutation orbit of
     each ``(representative, count)``; representatives with the same run
@@ -139,24 +133,6 @@ def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
         d = rep[0]
         rows.extend([((d, *map(pick, label)), value) for _, label in labels])
     return rows
-
-
-def stabiliser_orbit(c: Coeffs, c1: Coeffs) -> Iterator[Coeffs]:
-    """Every image of ``c1`` under the permutations of points that fix ``c``."""
-    blocks: dict[int, list[int]] = {}
-    for p in range(1, len(c)):
-        blocks.setdefault(c[p], []).append(p)
-    choices = [
-        [(block, values) for values in arrangements(tuple(c1[p] for p in block))]
-        for block in blocks.values()
-        if len(block) > 1
-    ]
-    for choice in product(*choices):
-        member = list(c1)
-        for block, values in choice:
-            for p, v in zip(block, values):
-                member[p] = v
-        yield tuple(member)
 
 
 def key_positions(c: Coeffs) -> Coeffs:

@@ -149,3 +149,38 @@ def test_sweep_fails_on_a_missing_swap_partner(monkeypatch, capsys):
     assert identity.status == "pass"
     assert main(["check", "--scope", "plane"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def _drop_a_cross_orbit_pair(terms):
+    # The first pair whose parts differ in line degree, so its partner lies
+    # in another orbit, goes missing.
+    for weight, u, v, t in terms:
+        if u[0] != v[0]:
+            break
+        yield weight, u, v, t
+    yield from terms
+
+
+def _double_an_orbit_weight(terms):
+    # The first orbit of more than one pair is counted twice.
+    for weight, u, v, t in terms:
+        if weight > 1:
+            yield 2 * weight, u, v, t
+            break
+        yield weight, u, v, t
+    yield from terms
+
+
+@pytest.mark.parametrize("defect", [_drop_a_cross_orbit_pair, _double_an_orbit_weight])
+def test_sweep_fails_on_a_blowup_swap_defect(monkeypatch, defect):
+    # On blow-ups the walk yields one pair per stabiliser orbit with the
+    # orbit size as weight, so the swap test must compare orbits and their
+    # weights, not only the ordered pairs they stand for.
+    real = checks._pair_terms
+    monkeypatch.setattr(
+        checks, "_pair_terms", lambda surface, beta, table: defect(real(surface, beta, table))
+    )
+    result, identity = _check_sweep("blowups")
+    assert result.status == "fail"
+    assert "asymmetric summand" in result.actual
+    assert identity.status == "pass"

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, caching."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -343,6 +344,22 @@ def test_orbit_inconsistent_cache_is_rebuilt(tmp_path, capsys):
     assert '"n0":"95"' not in cache.read_text()
 
 
+def test_quadric_cache_listing_a_class_twice_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "q.json"
+    cache.write_text(
+        '{"version":1,"surface":"p1xp1","entries":['
+        '{"class":[1,1],"n0":"1"},{"class":[1,1],"n0":"7"}]}'
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "p1xp1", "--class", "2,2",
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "12\n"
+    assert "ignoring unreadable cache" in err
+    assert '"n0":"7"' not in cache.read_text()
+
+
 def test_foreign_cache_is_protected(tmp_path, capsys):
     cache = tmp_path / "k2.json"
     run(capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "3,1,1",
@@ -355,6 +372,37 @@ def test_foreign_cache_is_protected(tmp_path, capsys):
     assert code == 2
     assert "belongs to" in err
     assert cache.read_bytes() == before
+
+
+def test_full_collections_wait_for_the_end_of_a_command(capsys, monkeypatch):
+    returned, full_passes = [], []
+    count = cli._cmd_count
+
+    def counting(args):
+        full_passes.append(("in", gc.get_threshold()))
+        code = count(args)
+        returned.append(code)
+        return code
+
+    def callback(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full_passes.append(("pass", len(returned)))
+
+    monkeypatch.setattr(cli, "_cmd_count", counting)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(10, 1, 0)  # a full pass is due after every second young one
+    gc.callbacks.append(callback)
+    try:
+        code, out, _ = run(capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "3,1,1")
+        held = gc.get_threshold()
+    finally:
+        gc.callbacks.remove(callback)
+        gc.set_threshold(*thresholds)
+    assert (code, out) == (0, "12\n")
+    assert held == (10, 1, 0)
+    (_, during), *passes = full_passes
+    assert during[:2] == (10, 1) and during[2] > 10**6
+    assert passes and all(after == 1 for _, after in passes)
 
 
 def test_cache_dir_env_var(tmp_path, capsys, monkeypatch):

@@ -624,6 +624,18 @@ def test_orbit_inconsistent_cache_rejected(tmp_path):
         load_cache(path)
 
 
+def test_quadric_cache_listing_a_class_twice_rejected(tmp_path):
+    # The quadric's memo is keyed by the class itself; a later row must not
+    # overwrite an earlier one.
+    path = tmp_path / "q.json"
+    path.write_text(
+        '{"version":1,"surface":"p1xp1","entries":['
+        '{"class":[1,1],"n0":"1"},{"class":[1,1],"n0":"7"}]}'
+    )
+    with pytest.raises(CacheFormatError, match="permutation"):
+        load_cache(path)
+
+
 def _saved_table(tmp_path):
     surface = Surface.blowup(2)
     table = GwTable(surface=surface)

@@ -3,10 +3,11 @@
 A class ``beta`` on a blow-up is fixed by the permutations of points of
 equal multiplicity.  The engine yields one ordered splitting per orbit of
 that stabiliser, weighted by the orbit size, and only the output expands
-orbits into members.  These tests hold the walk against the brute-force
-splitting box of ``splitting_box.py`` and against brute-force orbits built
-here from ``itertools.permutations``, on classes with repeated
-multiplicities where the orbits are larger than one pair.
+orbits into members: ``support_pairs`` is the same walk with every point
+pinned, so each orbit is one pair.  These tests hold the walk against the
+brute-force splitting box of ``splitting_box.py`` and against brute-force
+orbits built here from ``itertools.permutations``, on classes with
+repeated multiplicities where the orbits are larger than one pair.
 """
 
 from __future__ import annotations
