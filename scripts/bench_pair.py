@@ -8,16 +8,19 @@
 Exports ``--base`` (default ``HEAD``, so an uncommitted change is compared
 with its parent; pass ``HEAD~1`` once the change is committed) with ``git
 archive``, and copies the working tree's files that git does not ignore,
-into two sibling directories of a temporary directory.  The two paths have
-the same length: path strings are part of what the interpreter allocates,
-and a longer checkout path alone moved ``peak_rss_mb`` by about 0.1 MB.
-Then for each seed it runs
+into two sibling directories of a temporary directory, ``base`` and
+``work``.  The two paths have the same length: path strings are part of
+what the interpreter allocates, and a longer checkout path alone moved
+``peak_rss_mb`` by about 0.1 MB.  Equal length is not enough, as the name
+itself moved count-warm ``peak_rss_mb`` by 0.2 to 0.4 MB, so the two
+checkouts swap names by renaming every two seeds.  Then for each seed it
+runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in each copy, back to back, with odd seeds running the change first
-and even seeds the base.  ``T`` is the
-``run_seconds`` of ``BENCHMARK.json``, the same on both sides.
+and even seeds the base (see ``schedule``).  ``T`` is the ``run_seconds``
+of ``BENCHMARK.json``, the same on both sides.
 
 The result goes to ``--out`` in the ``BENCH_<n>.json`` layout: per workload
 the seeds, ``correct``, ``attempted`` and ``failed`` of both sides, and per
@@ -42,6 +45,20 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NAMES = ("base", "work")
+
+
+def schedule(seed: int) -> list[tuple[str, str]]:
+    """The side and directory name of each run of ``seed``, in run order.
+
+    The run order has period 2 in the seed (odd seeds run the change
+    first) and the names period 4 (the parent is in ``base`` for seeds
+    0 and 1 mod 4), so over any four consecutive seeds each side runs
+    from each name once in each position.
+    """
+    order = ("change", "parent") if seed % 2 else ("parent", "change")
+    names = NAMES if seed % 4 < 2 else NAMES[::-1]
+    return [(side, names[side == "change"]) for side in order]
 
 
 def seed_range(text: str) -> list[int]:
@@ -113,15 +130,20 @@ def main() -> int:
 
     scratch = tempfile.mkdtemp(prefix="bench-pair-")
     try:
-        checkouts = {"parent": os.path.join(scratch, "base"),
-                     "change": os.path.join(scratch, "work")}
-        commit = export(args.base, checkouts["parent"])
-        copy_working_tree(checkouts["change"])
+        where = dict(schedule(args.seeds[0]))
+        commit = export(args.base, os.path.join(scratch, where["parent"]))
+        copy_working_tree(os.path.join(scratch, where["change"]))
         sides: dict[str, list[dict]] = {"parent": [], "change": []}
         for seed in args.seeds:
-            order = ("change", "parent") if seed % 2 else ("parent", "change")
-            for side in order:
-                sides[side].append(run(checkouts[side], args.workload, seed,
+            runs = schedule(seed)
+            if dict(runs) != where:
+                first, second, held = (os.path.join(scratch, n) for n in (*NAMES, "held"))
+                os.rename(first, held)
+                os.rename(second, first)
+                os.rename(held, second)
+                where = dict(runs)
+            for side, name in runs:
+                sides[side].append(run(os.path.join(scratch, name), args.workload, seed,
                                        spec["run_seconds"]))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -151,7 +173,9 @@ def main() -> int:
     document.update({
         "harness": f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']} "
                    "--trace 0, run in a git archive of the base and in a copy of the "
-                   "working tree, two sibling directories with paths of equal length",
+                   "working tree, two sibling directories with paths of equal length "
+                   "that swap their names base and work by renaming every two seeds "
+                   "(parent in base for seeds 0 and 1 mod 4)",
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}; times are "
                 "perfbench reference seconds (host-speed normalised), see perfbench/README.md",
         "pairing": "base and change run back to back per seed, alternating which side runs "

@@ -162,62 +162,42 @@ def _check_blow_down() -> list[CheckResult]:
     ]
 
 
-_VANISH_BLOWUPS = (
-    # (k, coefficient vector): members have genus <= 1.
-    (1, (1, 0)),
-    (1, (2, 0)),
-    (1, (3, 0)),
-    (1, (1, 1)),
-    (1, (2, 1)),
-    (1, (3, 1)),
-    (2, (4, 2, 2)),
-    (3, (4, 2, 2, 2)),
-)
+# Classes whose members have genus at most one, per scope: (surface
+# descriptor, coefficient vector, check-id prefix), and why the count of
+# each must vanish.
+_VANISH = {
+    "blowups": (
+        (
+            *(("blp2:k=1", (d, m), "blowup-k1") for m in (0, 1) for d in (1, 2, 3)),
+            ("blp2:k=2", (4, 2, 2), "blowup-k2"),
+            ("blp2:k=3", (4, 2, 2, 2), "blowup-k3"),
+        ),
+        "no immersed genus-two curve exists in a class of genus at"
+        " most one, so the count must vanish even where the"
+        " derivation's positivity hypotheses fail",
+    ),
+    "quadric": (
+        (
+            *(("p1xp1", (a, b), "quadric") for a in range(1, 6) for b in (0, 1)),
+            ("p1xp1", (2, 2), "quadric"),
+        ),
+        "bidegrees (a,0), (a,1) and (2,2) only contain curves of"
+        " genus at most one, so the genus-two count must vanish",
+    ),
+}
 
 
-def _check_vanish_blowups() -> list[CheckResult]:
-    results = []
+def _check_vanish(scope: str) -> list[CheckResult]:
+    cases, justification = _VANISH[scope]
     tables = {}
-    for k, coeffs in _VANISH_BLOWUPS:
-        surface = Surface.blowup(k)
-        table = tables.setdefault(k, GwTable(surface=surface))
+    results = []
+    for descriptor, coeffs, prefix in cases:
+        surface = Surface.parse(descriptor)
+        table = tables.setdefault(descriptor, GwTable(surface=surface))
         beta = CurveClass(coeffs)
         value = n2j_main(surface, beta, table)
         results.append(
-            _verdict(
-                f"vanish-blowup-k{k}-{beta}",
-                "0",
-                to_decimal_string(value),
-                "no immersed genus-two curve exists in a class of genus at"
-                " most one, so the count must vanish even where the"
-                " derivation's positivity hypotheses fail",
-            )
-        )
-    return results
-
-
-def _quadric_vanish_classes():
-    for a in range(1, 6):
-        yield (a, 0)
-        yield (a, 1)
-    yield (2, 2)
-
-
-def _check_vanish_quadric() -> list[CheckResult]:
-    quadric = Surface.quadric()
-    table = GwTable(surface=quadric)
-    results = []
-    for coeffs in _quadric_vanish_classes():
-        beta = CurveClass(coeffs)
-        value = n2j_main(quadric, beta, table)
-        results.append(
-            _verdict(
-                f"vanish-quadric-{beta}",
-                "0",
-                to_decimal_string(value),
-                "bidegrees (a,0), (a,1) and (2,2) only contain curves of"
-                " genus at most one, so the genus-two count must vanish",
-            )
+            _verdict(f"vanish-{prefix}-{beta}", "0", to_decimal_string(value), justification)
         )
     return results
 
@@ -347,12 +327,12 @@ _CHECKS_BY_SCOPE = {
     ),
     "blowups": (
         _check_blow_down,
-        _check_vanish_blowups,
+        lambda: _check_vanish("blowups"),
         lambda: _check_sweep("blowups"),
     ),
     "quadric": (
         _check_cross_model,
-        _check_vanish_quadric,
+        lambda: _check_vanish("quadric"),
         lambda: _check_sweep("quadric"),
     ),
 }

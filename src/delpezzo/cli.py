@@ -6,8 +6,11 @@ Three subcommands::
     delpezzo table <quantity> --surface <desc> --max-anticanonical N [options]
     delpezzo check [--scope all|plane|blowups|quadric] [--format text|json]
 
-Quantities for ``count``: genus0, genus2, rt2, cusp, v2, taut, reconcile.
-Quantities for ``table``: genus0, genus2.
+Quantities: genus0, genus2, rt2, cusp, v2, taut, reconcile.  ``table`` is
+``count`` run on every class of the genus-zero support up to the bound;
+every quantity but genus0 skips the classes with no point constraint
+(delta < 1).  ``--aut`` is the automorphism order of the genus-two complex
+structure, read by genus2 and reconcile.
 
 Surface descriptors are ``blp2:k=N`` (the plane blown up at N general
 points, 0 <= N <= 8) and ``p1xp1``.  Class vectors are comma-separated
@@ -24,7 +27,8 @@ or set ``DELPEZZO_CACHE_DIR`` to give every invocation a per-surface
 default cache file in that directory.  Caches are advisory: an unreadable
 cache file is ignored (with a warning) and rewritten, and cached runs
 produce byte-identical values to cold runs.  A well-formed cache written
-for a different surface is an error, never silently overwritten.
+for a different surface is an error, never silently overwritten.  A cache
+that cannot be written is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -60,8 +64,7 @@ __all__ = ["main", "OutputRecord", "CACHE_DIR_ENV"]
 
 CACHE_DIR_ENV = "DELPEZZO_CACHE_DIR"
 
-COUNT_QUANTITIES = ("genus0", "genus2", "rt2", "cusp", "v2", "taut", "reconcile")
-TABLE_QUANTITIES = ("genus0", "genus2")
+QUANTITIES = ("genus0", "genus2", "rt2", "cusp", "v2", "taut", "reconcile")
 
 
 class _UsageError(Exception):
@@ -118,7 +121,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="compute one quantity for one class")
-    count.add_argument("quantity", choices=COUNT_QUANTITIES)
     _add_common(count)
     count.add_argument(
         "--class",
@@ -127,16 +129,8 @@ def _build_parser() -> _Parser:
         metavar="D,M1,...",
         help="comma-separated class vector",
     )
-    count.add_argument(
-        "--aut",
-        type=int,
-        default=2,
-        help="order of the automorphism group of the fixed genus-two"
-        " complex structure (even, default 2)",
-    )
 
     table = sub.add_parser("table", help="tabulate a quantity over the support")
-    table.add_argument("quantity", choices=TABLE_QUANTITIES)
     _add_common(table)
     table.add_argument(
         "--max-anticanonical",
@@ -145,7 +139,6 @@ def _build_parser() -> _Parser:
         metavar="N",
         help="largest anticanonical degree to include (at least 1)",
     )
-    table.add_argument("--aut", type=int, default=2, help=argparse.SUPPRESS)
 
     check = sub.add_parser("check", help="run the consistency-check suite")
     check.add_argument("--scope", choices=SCOPES, default="all")
@@ -154,6 +147,7 @@ def _build_parser() -> _Parser:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("quantity", choices=QUANTITIES)
     sub.add_argument(
         "--surface",
         required=True,
@@ -162,6 +156,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--cache", metavar="PATH", help="genus-zero table cache file")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sub.add_argument(
+        "--aut",
+        type=int,
+        default=2,
+        help="order of the automorphism group of the fixed genus-two"
+        " complex structure (even, default 2)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,13 @@ def _open_table(surface: Surface, path: str | None) -> GwTable:
 def _save_table(table: GwTable, path: str | None) -> None:
     if path is None:
         return
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    save_cache(table, path)
+    try:
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        save_cache(table, path)
+    except OSError as exc:
+        print(f"warning: cache {path} not written: {exc}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +232,15 @@ def _emit_records(records: list[OutputRecord], fmt: str, single: bool) -> None:
         for record in records:
             print(f"{record.quantity} = {to_decimal_string(record.value)}")
     else:
+        # A quantity column only where the records carry several names.
+        named = len({record.quantity for record in records}) > 1
         width = max((len(",".join(map(str, r.class_vector))) for r in records), default=5)
-        print(f"{'class':{width}}  value")
+        name_width = max((len(r.quantity) for r in records), default=0)
+        print(f"{'class':{width}}  " + (f"{'quantity':{name_width}}  " if named else "") + "value")
         for record in records:
             vector = ",".join(str(c) for c in record.class_vector)
-            print(f"{vector:{width}}  {to_decimal_string(record.value)}")
+            name = f"{record.quantity:{name_width}}  " if named else ""
+            print(f"{vector:{width}}  {name}{to_decimal_string(record.value)}")
 
 
 def _elapsed_ms(start_ns: int) -> str:
@@ -261,59 +269,55 @@ def _check_aut_usage(aut: int) -> None:
         raise _UsageError(f"--aut must be a positive even integer, got {aut}")
 
 
+def _records(surface, beta, table, quantity: str, aut: int) -> list[OutputRecord]:
+    """One quantity of one class: one record, or six for ``reconcile``."""
+    start = time.monotonic_ns()
+    # The layer functions are looked up when called, so a caller that
+    # replaces this module's names (a tracer, a test) is honoured.
+    compute = {
+        "genus0": lambda: n0(surface, beta, table),
+        "genus2": lambda: n2j_main(surface, beta, table, aut),
+        "rt2": lambda: rt2(surface, beta, table),
+        "cusp": lambda: cusp_count(surface, beta, table),
+        "v2": lambda: two_component_count(surface, beta, table),
+        "taut": lambda: taut_intersection(surface, beta, table),
+        "reconcile": lambda: reconcile(surface, beta, table, aut),
+    }[quantity]
+    result = compute()
+    if quantity == "reconcile":
+        named = [
+            ("reconcile.rt2", result.rt2),
+            ("reconcile.crLemma", result.cr_lemma),
+            ("reconcile.crProof", result.cr_proof),
+            ("reconcile.autTimesN2j", result.aut_n2j),
+            ("reconcile.residualLemma", result.residual_lemma),
+            ("reconcile.residualProof", result.residual_proof),
+        ]
+    else:
+        named = [(quantity, result)]
+    warnings: tuple[str, ...] = ()
+    if quantity in ("genus2", "reconcile"):
+        warnings = tuple(applicability_warnings(surface, beta, table))
+    elapsed = _elapsed_ms(start)
+    return [
+        OutputRecord(
+            surface=surface.descriptor,
+            class_vector=beta.coeffs,
+            quantity=name,
+            value=value,
+            warnings=warnings if index == 0 else (),
+            time_ms=elapsed,
+        )
+        for index, (name, value) in enumerate(named)
+    ]
+
+
 def _cmd_count(args) -> int:
     surface, beta = _parse_inputs(args, with_class=True)
     _check_aut_usage(args.aut)
     path = _cache_path(args, surface)
     table = _open_table(surface, path)
-
-    start = time.monotonic_ns()
-    warnings: tuple[str, ...] = ()
-    if args.quantity == "reconcile":
-        report = reconcile(surface, beta, table, args.aut)
-        warnings = tuple(applicability_warnings(surface, beta, table))
-        named = [
-            ("reconcile.rt2", report.rt2),
-            ("reconcile.crLemma", report.cr_lemma),
-            ("reconcile.crProof", report.cr_proof),
-            ("reconcile.autTimesN2j", report.aut_n2j),
-            ("reconcile.residualLemma", report.residual_lemma),
-            ("reconcile.residualProof", report.residual_proof),
-        ]
-        elapsed = _elapsed_ms(start)
-        records = [
-            OutputRecord(
-                surface=surface.descriptor,
-                class_vector=beta.coeffs,
-                quantity=name,
-                value=value,
-                warnings=warnings if name == "reconcile.rt2" else (),
-                time_ms=elapsed,
-            )
-            for name, value in named
-        ]
-    else:
-        compute = {
-            "genus0": lambda: n0(surface, beta, table),
-            "genus2": lambda: n2j_main(surface, beta, table, args.aut),
-            "rt2": lambda: rt2(surface, beta, table),
-            "cusp": lambda: cusp_count(surface, beta, table),
-            "v2": lambda: two_component_count(surface, beta, table),
-            "taut": lambda: taut_intersection(surface, beta, table),
-        }[args.quantity]
-        value = compute()
-        if args.quantity == "genus2":
-            warnings = tuple(applicability_warnings(surface, beta, table))
-        records = [
-            OutputRecord(
-                surface=surface.descriptor,
-                class_vector=beta.coeffs,
-                quantity=args.quantity,
-                value=value,
-                warnings=warnings,
-                time_ms=_elapsed_ms(start),
-            )
-        ]
+    records = _records(surface, beta, table, args.quantity, args.aut)
     _save_table(table, path)
     _emit_records(records, args.format, single=True)
     return 0
@@ -328,28 +332,11 @@ def _cmd_table(args) -> int:
     _check_aut_usage(args.aut)
     path = _cache_path(args, surface)
     table = _open_table(surface, path)
-
     records = []
-    for beta, count in support_enumerate(surface, args.max_anticanonical, table):
-        start = time.monotonic_ns()
-        if args.quantity == "genus0":
-            value: object = count
-            warnings: tuple[str, ...] = ()
-        else:
-            if surface.delta(beta) < 1:
-                continue  # genus-two counts need at least one point constraint
-            value = n2j_main(surface, beta, table, args.aut)
-            warnings = tuple(applicability_warnings(surface, beta, table))
-        records.append(
-            OutputRecord(
-                surface=surface.descriptor,
-                class_vector=beta.coeffs,
-                quantity=args.quantity,
-                value=value,
-                warnings=warnings,
-                time_ms=_elapsed_ms(start),
-            )
-        )
+    for beta, _ in support_enumerate(surface, args.max_anticanonical, table):
+        # Only the genus-zero count is defined without a point constraint.
+        if args.quantity == "genus0" or surface.delta(beta) >= 1:
+            records += _records(surface, beta, table, args.quantity, args.aut)
     _save_table(table, path)
     _emit_records(records, args.format, single=False)
     return 0

@@ -682,7 +682,11 @@ def save_cache(table: GwTable, path: str | Path) -> None:
 
 def load_cache(path: str | Path) -> GwTable:
     try:
-        document = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CacheFormatError(f"cache file {path} cannot be read: {exc}") from exc
+    try:
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"cache file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):

@@ -160,6 +160,96 @@ def test_table_rejects_empty_bound(capsys):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("surface", ["blp2:k=2", "p1xp1"])
+@pytest.mark.parametrize("quantity", cli.QUANTITIES)
+def test_table_is_count_over_the_support(capsys, surface, quantity):
+    code, out, _ = run(
+        capsys, "table", quantity, "--surface", surface, "--max-anticanonical", "8",
+        "--format", "json",
+    )
+    assert code == 0
+    by_class = {}
+    for record in json.loads(out):
+        del record["timeMs"]
+        by_class.setdefault(tuple(record["class"]), []).append(record)
+    assert by_class
+    for vector, records in by_class.items():
+        code, out, _ = run(
+            capsys, "count", quantity, "--surface", surface,
+            "--class", ",".join(map(str, vector)), "--format", "json",
+        )
+        assert code == 0
+        counted = json.loads(out)
+        counted = counted if isinstance(counted, list) else [counted]
+        for record in counted:
+            del record["timeMs"]
+        assert records == counted
+
+
+def test_table_lists_the_quartic_genus_two_bundle(capsys):
+    # The plane quartic: n0, rt2, cusp, v2, both correction totals and n2j.
+    def values(quantity):
+        code, out, _ = run(
+            capsys, "table", quantity, "--surface", "blp2:k=0", "--max-anticanonical", "12",
+            "--format", "json",
+        )
+        assert code == 0
+        return {rec["quantity"]: rec["value"] for rec in json.loads(out) if rec["class"] == [4]}
+
+    bundle = {}
+    for quantity in ("genus0", "rt2", "cusp", "v2", "reconcile", "genus2"):
+        bundle.update(values(quantity))
+    row = [bundle[name] for name in (
+        "genus0", "rt2", "cusp", "v2", "reconcile.crLemma", "reconcile.crProof", "genus2",
+    )]
+    assert row == [
+        "620", "104808", "2304", "2124",
+        {"num": "49800", "den": "1"}, {"num": "57240", "den": "1"}, "14400",
+    ]
+
+
+def test_table_genus0_writes_and_reuses_its_cache(tmp_path, capsys):
+    cache = tmp_path / "k1.json"
+    args = ("table", "genus0", "--surface", "blp2:k=1", "--max-anticanonical", "8",
+            "--cache", str(cache))
+    code, first, _ = run(capsys, *args)
+    assert code == 0
+    # The plane cubic through 8 points and the blown-up point.
+    assert "3,1 12" in [" ".join(line.split()) for line in first.splitlines()]
+    assert cache.exists()
+    assert run(capsys, *args) == (0, first, "")
+
+
+def test_table_reconcile_text_names_each_quantity(capsys):
+    code, out, _ = run(
+        capsys, "table", "reconcile", "--surface", "blp2:k=0", "--max-anticanonical", "6"
+    )
+    assert code == 0
+    header, *rows = [line.split() for line in out.splitlines()]
+    assert header == ["class", "quantity", "value"]
+    # Classes 1 and 2, six records each; the conic's as count prints them.
+    assert [row[0] for row in rows] == ["1"] * 6 + ["2"] * 6
+    assert rows[6:] == [
+        ["2", "reconcile.rt2", "30"],
+        ["2", "reconcile.crLemma", "6"],
+        ["2", "reconcile.crProof", "18"],
+        ["2", "reconcile.autTimesN2j", "0"],
+        ["2", "reconcile.residualLemma", "24"],
+        ["2", "reconcile.residualProof", "12"],
+    ]
+    assert [row[1] for row in rows[:6]] == [row[1] for row in rows[6:]]
+
+
+def test_table_odd_aut_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "table", "genus2", "--surface", "blp2:k=0", "--max-anticanonical", "4",
+        "--aut", "3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "--aut" in err
+
+
 # -- usage and computation errors -----------------------------------------
 
 
@@ -328,6 +418,45 @@ def test_corrupt_cache_is_advisory(tmp_path, capsys):
     assert json.loads(cache.read_text())["surface"] == "blp2:k=0"
 
 
+def test_cache_under_a_regular_file_is_skipped(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    query = ["count", "genus0", "--surface", "blp2:k=0", "--class", "3"]
+    for extra, env in (([], str(blocker)), (["--cache", str(blocker / "x.json")], None)):
+        if env:
+            monkeypatch.setenv("DELPEZZO_CACHE_DIR", env)
+        else:
+            monkeypatch.delenv("DELPEZZO_CACHE_DIR", raising=False)
+        code, out, err = run(capsys, *query, *extra)
+        assert (code, out) == (0, "12\n")
+        assert err.startswith("warning: cache ") and "not written" in err
+        assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
+
+
+def test_cache_path_naming_a_directory_is_advisory(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=0", "--class", "3",
+        "--cache", str(tmp_path),
+    )
+    assert (code, out) == (0, "12\n")
+    assert "ignoring unreadable cache" in err
+    assert "not written" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_undecodable_cache_is_advisory(tmp_path, capsys):
+    cache = tmp_path / "bad.json"
+    cache.write_bytes(b"\xff\xfe")
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=0", "--class", "3",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (0, "12\n")
+    assert "ignoring unreadable cache" in err
+    assert json.loads(cache.read_text())["surface"] == "blp2:k=0"
+
+
 def test_orbit_inconsistent_cache_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "k2.json"
     cache.write_text(
@@ -390,6 +519,8 @@ def test_full_collections_wait_for_the_end_of_a_command(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_count", counting)
     thresholds = gc.get_threshold()
+    # Start from empty generations, so that no pass is due before the command.
+    gc.collect()
     gc.set_threshold(10, 1, 0)  # a full pass is due after every second young one
     gc.callbacks.append(callback)
     try:
