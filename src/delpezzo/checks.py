@@ -14,16 +14,16 @@ Check groups:
 * ``genus2-blow-down-4L`` — the quartic count is unchanged when a point is
   blown up off the curve or on it with multiplicity one.
 * ``sweep-*`` — integrality of every genus-two quantity and termwise swap
-  symmetry of every splitting sum over a lattice sweep: each stabiliser
-  orbit of splittings and its swapped orbit carry the same weight and
-  summand.
+  symmetry of every splitting sum over a lattice sweep, from one walk of
+  the splittings per class: each stabiliser orbit of splittings and its
+  swapped orbit carry the same weight and summand.
 * ``vanish-*`` — the fixed-complex-structure count vanishes on classes
   whose members have genus at most one.
 * ``zinger-plane`` — the lattice formula, its plane specialization, and
   the closed form agree for all degrees up to 12.
 * ``reconcile-identity-*`` — the residual identity
   ``rt2 = cr_proof + 2 n2j - 4 taut`` on every class of the same sweep,
-  read from the moments the sweep computes.
+  read from the moments of the same walk, one walk per class.
 * ``reconcile-plane-conic`` — report-only: the bookkeeping residuals on
   the plane conic class, pinned but never asserted to vanish.
 """
@@ -36,8 +36,9 @@ from fractions import Fraction
 from .errors import DelPezzoError
 from .genus0 import GwTable, n0, support_enumerate
 from .genus2 import (
-    _moments,
     _pair_terms,
+    _record,
+    _sums,
     n2j_main,
     plane_genus2_intermediate,
     plane_genus2_zinger,
@@ -229,25 +230,6 @@ def _sweep_classes(scope: str):
                 yield quadric, beta, table
 
 
-def _swap_symmetric(surface, beta, table) -> bool:
-    # Every splitting summand is a fixed combination of (t0, t1, t2) and each
-    # of those is a summand up to a constant, so comparing them is exact.  The
-    # walk yields one pair per orbit of the permutations of points fixing
-    # beta, keyed here by the part's multiplicities sorted within each block
-    # of equal multiplicity of beta.  Swapping the parts maps an orbit onto
-    # an orbit of the same size, so the swapped orbit must have been walked
-    # too, with the same weight and summand.
-    c = beta.coeffs
-
-    def orbit(u):
-        return (u[0], *sorted(zip(c[1:], u[1:])))
-
-    terms = {}
-    for weight, u, v, t in _pair_terms(surface, beta, table):
-        terms[(orbit(u), orbit(v))] = weight, t
-    return all(terms.get((b, a)) == term for (a, b), term in terms.items())
-
-
 def _check_sweep(scope: str) -> list[CheckResult]:
     problems = []
     unbalanced = []
@@ -255,7 +237,24 @@ def _check_sweep(scope: str) -> list[CheckResult]:
     for surface, beta, table in _sweep_classes(scope):
         examined += 1
         try:
-            moments = _moments(surface, beta, table)
+            walk = list(_pair_terms(surface, beta, table))
+            # Every splitting summand is a fixed combination of (t0, t1, t2)
+            # and each of those is a summand up to a constant, so comparing
+            # them is exact.  The walk yields one pair per orbit of the
+            # permutations of points fixing beta, keyed here by the parts'
+            # multiplicities sorted within each block of equal multiplicity of
+            # beta.  Swapping the parts maps an orbit onto an orbit of the same
+            # size, so the swapped orbit must have been walked too, with the
+            # same weight and summand.  This runs before the moments are read
+            # from the walk, whose defects can also break exact divisions.
+            terms = {}
+            for weight, u, v, t in walk:
+                orbits = tuple((p[0], *sorted(zip(beta.coeffs[1:], p[1:]))) for p in (u, v))
+                terms[orbits] = weight, t
+            if any(terms.get((b, a)) != term for (a, b), term in terms.items()):
+                problems.append(f"{surface.descriptor}:{beta}: asymmetric summand")
+            deg = surface.anticanonical_degree(beta)
+            moments = _record(surface, beta, deg, n0(surface, beta, table), *_sums(walk))
             n2j = moments.n2j(2)
             # The correction total reads the cusp and two-component counts,
             # so their exact divisions are checked here as well.
@@ -263,8 +262,6 @@ def _check_sweep(scope: str) -> list[CheckResult]:
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")
             continue
-        if not _swap_symmetric(surface, beta, table):
-            problems.append(f"{surface.descriptor}:{beta}: asymmetric summand")
         balanced += 1
         if moments.rt2() != cr_proof + 2 * n2j - 4 * moments.taut:
             unbalanced.append(f"{surface.descriptor}:{beta}")

@@ -59,7 +59,6 @@ every class of its sweep (``reconcile-identity-*``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -117,8 +116,15 @@ def _pair_terms(
 class _Moments:
     """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
     the formulas of the module docstring read; one member per quantity.
-    ``taut``, ``cusp`` and ``two_comp`` are cached on first use, because
-    the correction totals of both variants read them again."""
+    Cleared of denominators, each quantity is one integer numerator over
+    one denominator, so an integral one is a single exact division:
+
+        taut      = (2 x1^2 n0 - S1) / (2 deg)
+        cusp      = (2 (x2 deg - x1^2) n0 + S1 - 2 deg S0) / (2 deg)
+        two_comp  = S0 / 2
+        n2j       = (2 deg ((2 + b2) beta^2 - 10 x2 - x1^2) n0 + 24 x1^2 n0
+                     - 12 S1 + deg S2 + 20 deg S0) / (aut deg)
+    """
 
     beta: CurveClass
     deg: int  # beta . x1
@@ -134,27 +140,22 @@ class _Moments:
     def rt2(self) -> int:
         return (4 + 2 * self.b2) * self.n0 * self.sq + self.s2
 
-    @cached_property
+    @property
     def taut(self) -> Fraction:
-        return Fraction(self.x1sq, self.deg) * self.n0 - Fraction(self.s1, 2 * self.deg)
+        return Fraction(2 * self.x1sq * self.n0 - self.s1, 2 * self.deg)
 
-    @cached_property
+    @property
     def cusp(self) -> int:
-        total = (
-            (self.x2 - Fraction(self.x1sq, self.deg)) * self.n0
-            + Fraction(self.s1, 2 * self.deg)
-            - self.s0
-        )
-        value = to_integer(total, context=f"cusp count of {self.beta}")
+        deg = self.deg
+        numerator = 2 * (self.x2 * deg - self.x1sq) * self.n0 + self.s1 - 2 * deg * self.s0
+        value = to_integer(Fraction(numerator, 2 * deg), context=f"cusp count of {self.beta}")
         if value < 0:
             raise NegativeCount(f"cusp count of {self.beta} came out {value}")
         return value
 
-    @cached_property
+    @property
     def two_comp(self) -> int:
-        return to_integer(
-            Fraction(self.s0, 2), context=f"two-component count of {self.beta}"
-        )
+        return to_integer(Fraction(self.s0, 2), context=f"two-component count of {self.beta}")
 
     def n11(self, variant: str) -> Fraction:
         if variant == "lemma":
@@ -174,15 +175,33 @@ class _Moments:
         )
 
     def n2j(self, aut_order: int) -> int:
-        head = self.n0 * (
-            (2 + self.b2) * self.sq
-            - 10 * self.x2
-            - self.x1sq
-            + Fraction(12 * self.x1sq, self.deg)
+        deg, x1sq = self.deg, self.x1sq
+        numerator = (
+            2 * deg * ((2 + self.b2) * self.sq - 10 * self.x2 - x1sq) * self.n0
+            + 24 * x1sq * self.n0 - 12 * self.s1 + deg * self.s2 + 20 * deg * self.s0
         )
-        tail = -Fraction(6 * self.s1, self.deg) + Fraction(self.s2, 2) + 10 * self.s0
-        value = Fraction(2, aut_order) * (head + tail)
+        value = Fraction(numerator, aut_order * deg)
         return to_integer(value, context=f"genus-two count of {self.beta}")
+
+
+def _sums(terms) -> tuple[int, int, int]:
+    """``S0, S1, S2`` of a walk's summands (see :func:`_pair_terms`)."""
+    s0 = s1 = s2 = 0
+    for weight, _, _, (t0, t1, t2) in terms:
+        s0 += weight * t0
+        s1 += weight * t1
+        s2 += weight * t2
+    return s0, s1, s2
+
+
+def _record(
+    surface: Surface, beta: CurveClass, deg: int, count: int, s0: int, s1: int, s2: int
+) -> _Moments:
+    """The :class:`_Moments` of ``beta``, of anticanonical degree ``deg``."""
+    return _Moments(
+        beta, deg, surface.self_intersection(beta), surface.k_squared, surface.euler_number,
+        surface.rank, count, s0, s1, s2,
+    )
 
 
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
@@ -204,25 +223,8 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
     stored = engine.moments.get(key)
     if stored is None:
         count = n0(surface, beta, table)
-        s0 = s1 = s2 = 0
-        for weight, _, _, (t0, t1, t2) in _pair_terms(surface, beta, table):
-            s0 += weight * t0
-            s1 += weight * t1
-            s2 += weight * t2
-        stored = engine.moments[key] = (count, s0, s1, s2)
-    count, s0, s1, s2 = stored
-    return _Moments(
-        beta=beta,
-        deg=deg,
-        sq=surface.self_intersection(beta),
-        x1sq=surface.k_squared,
-        x2=surface.euler_number,
-        b2=surface.rank,
-        n0=count,
-        s0=s0,
-        s1=s1,
-        s2=s2,
-    )
+        stored = engine.moments[key] = (count, *_sums(_pair_terms(surface, beta, table)))
+    return _record(surface, beta, deg, *stored)
 
 
 def rt2(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:

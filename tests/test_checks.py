@@ -7,8 +7,9 @@ import pytest
 from delpezzo import checks
 from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
 from delpezzo.cli import main
+from delpezzo.errors import RecursionFailure
 from delpezzo.genus0 import orbit_pairs
-from delpezzo.orbits import orbit_key
+from delpezzo.surface import CurveClass
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +108,9 @@ def test_failure_renders_as_fail():
     assert "FAIL" in render_text([result])
 
 
-def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
-    # One walk per orbit for the genus-two quantities, whose moments the
-    # table keeps per orbit key, and one per class for the swap-symmetry
-    # test.  The counter wraps the walk the moment pass reads.
+def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
+    # The swap test and the genus-two moments read one walk of each class.
+    # The counter wraps the genus-zero walk under `_pair_terms`.
     walks = Counter()
 
     def counting(surface, beta, table=None):
@@ -123,10 +123,26 @@ def test_sweep_walks_the_splittings_at_most_twice_per_class(monkeypatch):
     assert "247 classes examined" in result.justification
     assert "247 classes examined" in identity.justification
     assert len(walks) == 247
-    assert max(walks.values()) <= 2
-    orbits = {(descriptor, orbit_key(beta.coeffs)) for descriptor, beta in walks}
-    assert len(orbits) < 247
-    assert sum(walks.values()) == 247 + len(orbits)
+    assert sum(walks.values()) == 247
+
+
+def test_sweep_reports_a_failed_walk(monkeypatch, capsys):
+    # A computation error in the walk is a failed check with exit 3, not an
+    # error escaping the suite.
+    real = checks._pair_terms
+
+    def failing(surface, beta, table):
+        if beta == CurveClass((4,)):
+            raise RecursionFailure("walk failed at 4")
+        return real(surface, beta, table)
+
+    monkeypatch.setattr(checks, "_pair_terms", failing)
+    result, identity = _check_sweep("plane")
+    assert result.status == "fail"
+    assert result.actual == "1 violations: ['blp2:k=0:4: walk failed at 4']"
+    assert identity.status == "pass"
+    assert main(["check", "--scope", "plane"]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_sweep_fails_on_a_missing_swap_partner(monkeypatch, capsys):

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from delpezzo.errors import InvalidClass
+from delpezzo.errors import InvalidClass, NegativeCount, NonIntegralResult
 from delpezzo.genus0 import GwTable, n0, orbit_pairs, support_enumerate, support_pairs
 from delpezzo.genus2 import (
+    _Moments,
     _moments,
     _pair_terms,
     applicability_warnings,
@@ -275,6 +276,49 @@ def test_genus2_report_bundle():
 def test_encode_exact():
     assert encode_exact(12) == "12"
     assert encode_exact(Fraction(-3, 2)) == {"num": "-3", "den": "2"}
+
+
+def conic_moments(n0, s0, s1, s2):
+    """A hand-built record on the plane conic class: deg 6, beta^2 = 4,
+    x1^2 = 9, x2 = 3, b2 = 1, with free ``n0`` and moments."""
+    return _Moments(CurveClass((2,)), 6, 4, 9, 3, 1, n0, s0, s1, s2)
+
+
+@pytest.mark.parametrize(
+    "moments, quantity, message",
+    [
+        (conic_moments(0, 1, 0, 0), lambda m: m.two_comp, "two-component count of 2, got 1/2"),
+        # (3 - 9/6) + 1/12 = 19/12
+        (conic_moments(1, 0, 1, 0), lambda m: m.cusp, "cusp count of 2, got 19/12"),
+        # (2/aut) ((12 - 30 - 9 + 18) - 6/6 + 1/2) = -19/aut
+        (conic_moments(1, 0, 1, 1), lambda m: m.n2j(2), "genus-two count of 2, got -19/2"),
+        (conic_moments(1, 0, 1, 1), lambda m: m.n2j(4), "genus-two count of 2, got -19/4"),
+    ],
+    ids=["two_comp", "cusp", "n2j-aut2", "n2j-aut4"],
+)
+def test_non_integral_quantities_name_the_class_and_the_rational(moments, quantity, message):
+    with pytest.raises(NonIntegralResult) as failure:
+        quantity(moments)
+    assert str(failure.value) == f"expected integer in {message}"
+
+
+def test_negative_cusp_count_is_refused():
+    with pytest.raises(NegativeCount) as failure:
+        conic_moments(0, 3, 0, 0).cusp
+    assert str(failure.value) == "cusp count of 2 came out -3"
+
+
+def test_quantity_types_on_a_hand_built_record():
+    # taut = (9/6) 2 = 3, cusp = (3 - 9/6) 2 - 2 = 1, two_comp = 1,
+    # n2j = (12 - 30 - 9 + 18) 2 + 20 = 2.
+    moments = conic_moments(2, 2, 0, 0)
+    assert type(moments.taut) is Fraction and moments.taut == 3
+    for variant, total in (("lemma", 32), ("proof", 56)):
+        assert type(moments.cr(variant).total) is Fraction
+        assert moments.cr(variant).total == total
+    values = (moments.n2j(2), moments.cusp, moments.two_comp)
+    assert [type(value) for value in values] == [int, int, int]
+    assert values == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
