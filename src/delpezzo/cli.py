@@ -20,7 +20,8 @@ both points of ``blp2:k=2`` is ``--class 2,1,1``), and on ``p1xp1`` the
 vector ``a,b`` is the bidegree.
 
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 an asserted
-consistency check failed.
+consistency check failed, 141 (128 + SIGPIPE) the reader closed standard
+output early.
 
 Caching: pass ``--cache PATH`` to read/write a genus-zero table as JSON,
 or set ``DELPEZZO_CACHE_DIR`` to give every invocation a per-surface
@@ -353,6 +354,10 @@ def _cmd_check(args) -> int:
     return 0
 
 
+# 128 + SIGPIPE, the status of a filter whose reader closed the pipe.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     # A full pass of the cyclic collector walks every tracked object, for
     # milliseconds, in whichever step crosses its count: held back while
@@ -363,7 +368,17 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         handlers = {"count": _cmd_count, "table": _cmd_table, "check": _cmd_check}
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does: end quietly, like a
+        # filter killed by SIGPIPE, and send the interpreter's last flush
+        # of the unwritten output to /dev/null.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"delpezzo: error: {exc}", file=sys.stderr)
         return 1

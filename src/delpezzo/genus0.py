@@ -29,17 +29,25 @@ vector: (A, B) = (L, L) is (0, 0) on blow-ups, and (e_1, e_2) is (1, 0)
 on the quadric (beta.e_1 = b, beta.e_2 = a).  On the plane it is
 Kontsevich's recursion, so the plane needs no case of its own; on the
 quadric every bidegree with a, b >= 1 has delta >= 3, so it always
-applies.  On blow-ups it serves delta >= 3; delta = 2 uses the triple
-(E_1, L, E_1) (leading coefficient d), and delta = 1 the quadruple
-(E_i, E_j, E_i, E_j) at the two largest multiplicities (leading
-coefficient m_i^2 + m_j^2 > 0).  Classes the relations cannot reach
-(delta = 0, degree >= 2, every multiplicity >= 2) are pushed through the
-quadratic Cremona transformation based at the three largest
-multiplicities, which strictly lowers the degree.  Before any of that, a
-class with a multiplicity 0 or 1 loses that coefficient: forgetting a
-blown-up point off the curve, or trading a point of multiplicity one for
-a generic point constraint, leaves the count unchanged and shrinks the
-lattice.
+applies.
+
+On blow-ups the counts are invariant under the Weyl group W(E_k), which
+the permutations of the points and the quadratic Cremona transformation
+generate (Goettsche-Pandharipande).  So a class of degree >= 2 whose
+three largest multiplicities sum past its degree is first sent through
+the quadratic transformation based at those three points, which strictly
+lowers the degree; a chain of them ends at a standard form, with
+m_1 + m_2 + m_3 <= d or fewer than three points.  A standard form with a
+multiplicity 0 or 1 loses that coefficient: forgetting a blown-up point
+off the curve, or trading a point of multiplicity one for a generic point
+constraint, leaves the count unchanged and shrinks the lattice.  Only what
+is left evaluates a relation: the two-point relation for delta >= 3, the
+triple (E_1, L, E_1) for delta = 2 (leading coefficient d), and the
+quadruple (E_i, E_j, E_i, E_j) at the two largest multiplicities for
+delta = 1 (leading coefficient m_i^2 + m_j^2 > 0).  Nothing of degree
+>= 2 is left at delta = 0, where sum m_i = 3d - 1: a standard form has
+sum m_i <= 2d on fewer than three points, and sum m_i <= k d / 3 <= 8d / 3
+on more, so d <= 3 and m_3 <= 1, and the drop has taken it.
 
 Counts on blow-ups are invariant under permuting the blown-up points
 (Goettsche-Pandharipande), so the engine works on point-permutation orbits
@@ -73,10 +81,13 @@ The orbit combinatorics (keys, blocks, placements, expansion) live in
 ``orbits``.
 
 The levels are filled in order of degree before a relation reads them,
-so evaluation is bottom-up: only the drop and Cremona reductions nest, a
-few frames per step, whatever the degree.  All divisions are exact and
-asserted; a failed division or a stalled reduction raises
-RecursionFailure instead of returning a wrong number.
+so evaluation is bottom-up: only the drop and Cremona reductions nest,
+three frames each (``value``, the pipeline, the step).  A drop removes a
+point, and a Cremona step lowers the degree, so a chain nests about one
+``reduce`` per point dropped and per degree step; the deepest chain of a
+``blp2:k=8`` fill to anticanonical degree 10 nests 10.  All divisions are
+exact and asserted; a failed division or a reduction that applies to
+nothing raises RecursionFailure instead of returning a wrong number.
 
 One engine class serves every surface through a small per-lattice record
 (``_Lattice``).  Each ``GwTable`` owns one engine; a public call without
@@ -349,9 +360,8 @@ class _Engine:
         if d == 1:
             # A line through at most two of the blown-up points is unique.
             return 1
-        if delta == 0 and d * d - sum(m * m for m in ms) == -1:
-            # Rigid class of self-intersection -1: one curve, no constraints.
-            return 1
+        if len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d:
+            return self._cremona(c)
         if ms and ms[-1] <= 1:
             return self.value(c[:-1])
         if delta >= 3:
@@ -360,7 +370,7 @@ class _Engine:
             return self._one_point_relation(c, delta)
         if delta == 1:
             return self._four_divisor_relation(c, delta)
-        return self._cremona(c)
+        raise RecursionFailure(f"no reduction applies to {c}")
 
     def _reduce_quadric(self, c: Coeffs) -> int:
         a, b = c
@@ -422,12 +432,7 @@ class _Engine:
         # (A, B, C, D) = (E_1, E_2, E_1, E_2), the two largest multiplicities
         # of the representative; leading coefficient m_1^2 + m_2^2.  The
         # walk pins E_1 and E_2.
-        ms = c[1:]
-        if len(ms) < 2:
-            raise RecursionFailure(f"four-divisor relation needs two points at {c}")
-        kappa = ms[0] ** 2 + ms[1] ** 2
-        if kappa == 0:
-            raise RecursionFailure(f"four-divisor relation degenerates at {c}")
+        kappa = c[1] ** 2 + c[2] ** 2
         dot = self.dot
         total = 0
         for weight, degree1, c1, n1, c2, n2 in self.pairs(c, pinned=2):
@@ -453,15 +458,10 @@ class _Engine:
     def _cremona(self, c: Coeffs) -> int:
         # Quadratic transformation based at the three points of largest
         # multiplicity (the first three of the representative); the counts
-        # are invariant under it.
-        d, ms = c[0], c[1:]
-        if len(ms) < 3:
-            raise RecursionFailure(f"no reduction applies to {c}")
-        a, b, e = ms[:3]
-        if a + b + e <= d:
-            raise RecursionFailure(f"quadratic transformation stalls on {c}")
-        image = (2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *ms[3:])
-        return self.value(image)
+        # are invariant under it, and it lowers the degree when
+        # m_1 + m_2 + m_3 > d.
+        d, a, b, e, *rest = c
+        return self.value((2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *rest))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +311,25 @@ def test_deep_recursion_is_exit_2_without_traceback(tmp_path, capsys, monkeypatc
     assert err.startswith("delpezzo: error:")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_closed_pipe_ends_quietly_with_the_sigpipe_status():
+    # The reader of standard output has gone before the first write, as
+    # with `| head -1` on a long table.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "delpezzo.cli", "table", "genus0",
+             "--surface", "blp2:k=3", "--max-anticanonical", "12"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in done.stderr
+    assert done.stderr == b""
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 141
 
 
 # Past CPython's default limit of 4300 digits for int <-> str conversion.

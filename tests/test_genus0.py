@@ -9,6 +9,7 @@ the frozen rows.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -25,8 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delpezzo.errors import CacheFormatError, InvalidClass, SurfaceMismatch
+from delpezzo.errors import (
+    CacheFormatError,
+    InvalidClass,
+    RecursionFailure,
+    SurfaceMismatch,
+)
 from delpezzo.genus0 import (
+    _BLOWUPS,
     GwTable,
     _blowup_candidates,
     _Engine,
@@ -339,6 +346,108 @@ def test_plane_evaluates_bottom_up():
     expected = [plane_reference(d) for d in range(1, 151)][-1]  # warm bottom-up
     with recursion_margin(40):
         assert n0(PLANE, plane_class(150)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Cremona-first reduction.  The engine applies the quadratic transformation
+# before anything else, so only standard forms (m1 + m2 + m3 <= d) evaluate
+# a relation.  The oracle below is the pipeline it replaced: a relation on
+# every orbit representative it reaches, the quadratic transformation only
+# at delta = 0.  It shares the relations and the walk with the engine; what
+# it checks is that the order of the reductions does not change a count.
+
+
+def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
+    d, ms = c[0], c[1:]
+    if d < 0:
+        return 0
+    if d == 0:
+        exceptional = all(m in (0, -1) for m in ms) and ms.count(-1) == 1
+        return 1 if exceptional else 0
+    if ms and (ms[-1] < 0 or ms[0] > d):
+        return 0
+    delta = 3 * d - sum(ms) - 1
+    if delta < 0:
+        return 0
+    if d == 1:
+        return 1
+    if delta == 0 and d * d - sum(m * m for m in ms) == -1:
+        return 1  # rigid class of self-intersection -1
+    if ms and ms[-1] <= 1:
+        return engine.value(c[:-1])
+    if delta >= 3:
+        return engine._two_point_relation(c, delta)
+    if delta == 2:
+        return engine._one_point_relation(c, delta)
+    if delta == 1:
+        return engine._four_divisor_relation(c, delta)
+    assert len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d, c
+    return engine._cremona(c)
+
+
+RELATION_FIRST_BOUNDS = {3: 10, 4: 8, 5: 7, 6: 6, 7: 5, 8: 3}
+
+
+@pytest.mark.parametrize("k, bound", sorted(RELATION_FIRST_BOUNDS.items()))
+def test_cremona_first_agrees_with_the_relation_first_engine(k, bound):
+    surface = Surface.blowup(k)
+    engine, oracle = _Engine(surface), _Engine(surface)
+    oracle.lattice = dataclasses.replace(_BLOWUPS, reduce=relation_first)
+    engine.ensure(surface.rank, bound)
+    oracle.ensure(surface.rank, bound)
+    # Every orbit representative of every level, with its count, and every
+    # class of a lower rank that both reached.
+    levels = [engine.support[(surface.rank, degree)] for degree in range(1, bound + 1)]
+    assert levels == [oracle.support[(surface.rank, degree)] for degree in range(1, bound + 1)]
+    assert all(oracle.memo.get(key, value) == value for key, value in engine.memo.items())
+    # Some of them are not standard forms, where the two pipelines differ.
+    assert any(
+        c[0] >= 2 and sum(c[1:4]) > c[0]
+        for level in levels
+        for bucket in level.values()
+        for c in bucket
+    )
+
+
+EIGHT_POINT_PINS = [
+    ((6,) + (2,) * 8, 90),  # -2K, by the four-divisor relation
+    ((9,) + (3,) * 8, 2880),  # -3K, by the one-point relation
+    ((8,) + (2,) * 8, 664160448),
+    ((8, 4) + (2,) * 7, 1214640),
+    ((9,) + (3,) * 6 + (2, 1), 4209120),
+]
+
+
+@pytest.mark.parametrize("coeffs, expected", EIGHT_POINT_PINS)
+def test_eight_point_pins(coeffs, expected):
+    assert n0(Surface.blowup(8), CurveClass(coeffs)) == expected
+
+
+def test_eight_point_fill_nests_a_few_frames_per_point(monkeypatch):
+    # Cremona chains and drops nest, three frames per step; the deepest
+    # chain of this fill is 10 reductions.  The one-point and four-divisor
+    # relations fire only on -3K and -2K.
+    fired = []
+    for name in ("_one_point_relation", "_four_divisor_relation"):
+        def recording(self, c, delta, real=getattr(_Engine, name), name=name):
+            fired.append((name, c))
+            return real(self, c, delta)
+
+        monkeypatch.setattr(_Engine, name, recording)
+    engine = _Engine(Surface.blowup(8))
+    with recursion_margin(40):
+        engine.ensure(9, 8)
+    assert sorted(fired) == [
+        ("_four_divisor_relation", (6,) + (2,) * 8),
+        ("_one_point_relation", (9,) + (3,) * 8),
+    ]
+
+
+def test_a_stalled_reduction_is_a_recursion_failure():
+    # Past the del Pezzo range, on nine points, (9; 3^8, 2) is a standard
+    # form with delta = 0 and no multiplicity below 2: nothing applies.
+    with pytest.raises(RecursionFailure, match="no reduction applies"):
+        _Engine(Surface.blowup(8)).value((9,) + (3,) * 8 + (2,))
 
 
 def _engines_without_a_table() -> list[_Engine]:
