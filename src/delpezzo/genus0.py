@@ -5,23 +5,22 @@ in a class ``beta`` through ``delta(beta)`` generic points.
 
 It uses coefficient identities of the genus-zero point-insertion potential:
 associativity of the quantum product (WDVV) contracted with two divisors
-and two point classes, three divisors and one point, or four divisors.
-Writing ``delta_i`` for ``delta(beta_i)`` and ``C`` for the binomial, the
-three relations are, for divisors A, B, C, D and sums over ordered
-splittings ``beta = beta1 + beta2`` into nonzero parts:
+and two point classes, or with four divisors.  Writing ``delta_i`` for
+``delta(beta_i)`` and ``C`` for the binomial, the two relations are, for
+divisors A, B and sums over ordered splittings ``beta = beta1 + beta2``
+into nonzero parts:
 
   [two points]   (A.B) n(beta) =
       sum n1 n2 (b1.b2) [ (b1.A)(b2.B) C(delta-3, delta1-1)
                           - (b1.A)(b1.B) C(delta-3, delta1) ]
 
-  [one point]    ((A.B)(beta.C) - (A.C)(beta.B)) n(beta) =
-      sum C(delta-2, delta1) n1 n2 (b1.b2) (b1.A)
-          [ (b1.C)(b2.B) - (b1.B)(b2.C) ]
+  [no points]    2 (1 - r) beta^2 n(beta) =
+      sum C(delta-1, delta1) n1 n2 (b1.b2) [ b1^2 b2^2 - (b1.b2)^2 ]
 
-  [no points]    ((A.B)(beta.C)(beta.D) + (C.D)(beta.A)(beta.B)
-                  - (A.C)(beta.B)(beta.D) - (B.D)(beta.A)(beta.C)) n(beta) =
-      sum C(delta-1, delta1) n1 n2 (b1.b2)
-          [ (b1.A)(b1.C)(b2.B)(b2.D) - (b1.A)(b1.B)(b2.C)(b2.D) ]
+The second is WDVV with four divisors (A, B, C, D), which holds at every
+delta >= 1, summed over (e_a, e_b, e^a, e^b) for a basis e_a of a lattice
+of rank r and its dual basis e^a under the intersection form: the sums
+sum_a (x.e_a)(y.e^a) = x.y and sum_a e_a.e^a = r leave only pairings.
 
 The two-point relation is one piece of code for every lattice.  Its
 divisors have A.B = 1 and are read as coordinates of the coefficient
@@ -41,13 +40,22 @@ m_1 + m_2 + m_3 <= d or fewer than three points.  A standard form with a
 multiplicity 0 or 1 loses that coefficient: forgetting a blown-up point
 off the curve, or trading a point of multiplicity one for a generic point
 constraint, leaves the count unchanged and shrinks the lattice.  Only what
-is left evaluates a relation: the two-point relation for delta >= 3, the
-triple (E_1, L, E_1) for delta = 2 (leading coefficient d), and the
-quadruple (E_i, E_j, E_i, E_j) at the two largest multiplicities for
-delta = 1 (leading coefficient m_i^2 + m_j^2 > 0).  Nothing of degree
->= 2 is left at delta = 0, where sum m_i = 3d - 1: a standard form has
-sum m_i <= 2d on fewer than three points, and sum m_i <= k d / 3 <= 8d / 3
-on more, so d <= 3 and m_3 <= 1, and the drop has taken it.
+is left evaluates a relation: the two-point relation for delta >= 3 and
+the four-divisor relation for delta = 1, 2, on the lattice of rank
+r = 1 + (points left).  What is left has d >= 2 and every m_i >= 2, and
+sum m_i = 3d - 1 - delta.  On fewer than three points sum m_i <= 2d, so
+d <= 3: the classes with delta = 1, 2 are (2; 2, 2) and (3; 3, 3), with
+r = 3 and beta^2 = -4, -9 (one point would need d <= 1).  On k >= 3
+points m_3 <= d / 3, so sum m_i <= k d / 3, which with sum m_i >= 3d - 3
+gives (9 - k) d <= 9, while m_1 + m_2 + m_3 <= d forces d >= 6: only
+k = 8 is left, with 6 <= d <= 9.  There sum m_i <= d + 5 m_3 <=
+d + 5 floor(d / 3), which reaches 3d - 3 only at d = 6 (all m_i = 2) and
+d = 9 (all m_i = 3): -2K = (6; 2^8) and -3K = (9; 3^8), with r = 9 and
+beta^2 = 4, 9.  So the leading coefficient 2 (1 - r) beta^2 is never
+zero where the relation runs.  Nothing of degree >= 2 is left at delta = 0, where
+sum m_i = 3d - 1: a standard form has sum m_i <= 2d on fewer than three
+points, and sum m_i <= k d / 3 <= 8d / 3 on more, so d <= 3 and
+m_3 <= 1, and the drop has taken it.
 
 Counts on blow-ups are invariant under permuting the blown-up points
 (Goettsche-Pandharipande), so the engine works on point-permutation orbits
@@ -68,15 +76,13 @@ once per way of giving every block of equal multiplicity a multiset of
 part multiplicities, weighted by the number of ways to arrange that
 multiset in the block, and the complement is one lookup of its orbit key
 in the other bucket.  Every summand of the relations and of the genus-two
-moments is invariant under the stabiliser, except the coordinates of the
-points a relation reads (``E_1`` in the one-point relation, ``E_1`` and
-``E_2`` in the four-divisor relation), which the walk keeps in blocks of
-their own.  On the quadric each bucket holds one bidegree and every
-weight is 1.  A complement missing from its bucket has count zero,
-because the candidates of a level contain every orbit that can carry
-curves.  Permutations are built only at the output: ``support_enumerate``
-expands the orbits into every member, and ``support_pairs`` is the same
-walk with every point pinned, so each of its orbits is one ordered pair.
+moments is invariant under the stabiliser.  On the quadric each bucket
+holds one bidegree and every weight is 1.  A complement missing from its
+bucket has count zero, because the candidates of a level contain every
+orbit that can carry curves.  Permutations are built only at the output:
+``support_enumerate`` expands the orbits into every member, and
+``support_pairs`` is the same walk with every point pinned, so each of its
+orbits is one ordered pair.
 The orbit combinatorics (keys, blocks, placements, expansion) live in
 ``orbits``.
 
@@ -366,9 +372,7 @@ class _Engine:
             return self.value(c[:-1])
         if delta >= 3:
             return self._two_point_relation(c, delta)
-        if delta == 2:
-            return self._one_point_relation(c, delta)
-        if delta == 1:
+        if delta >= 1:
             return self._four_divisor_relation(c, delta)
         raise RecursionFailure(f"no reduction applies to {c}")
 
@@ -401,55 +405,20 @@ class _Engine:
             total += weight * n1 * n2 * (pairing * c1[i]) * bracket
         return total
 
-    def _one_point_relation(self, c: Coeffs, delta: int) -> int:
-        # (A, B, C) = (E_1, L, E_1), E_1 of the largest multiplicity of the
-        # representative; leading coefficient
-        # (E1.L)(beta.E1) - (E1.E1)(beta.L) = d.  The walk pins E_1.
-        d = c[0]
-        dot = self.dot
-        total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, pinned=1):
-            pairing = dot(c1, c2)
-            if pairing == 0:
-                continue
-            delta1 = degree1 - 1
-            m1a, m1b = c1[1], c2[1]  # beta_i . E_1
-            total += (
-                binomial(delta - 2, delta1)
-                * weight
-                * n1
-                * n2
-                * pairing
-                * m1a
-                * (m1a * c2[0] - c1[0] * m1b)
-            )
-        quotient, remainder = divmod(total, d)
-        if remainder:
-            raise RecursionFailure(f"one-point relation left remainder at {c}")
-        return quotient
-
     def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
-        # (A, B, C, D) = (E_1, E_2, E_1, E_2), the two largest multiplicities
-        # of the representative; leading coefficient m_1^2 + m_2^2.  The
-        # walk pins E_1 and E_2.
-        kappa = c[1] ** 2 + c[2] ** 2
+        # (A, B, C, D) = (e_a, e_b, e^a, e^b) summed over a basis and its
+        # dual: only pairings remain, so every summand is invariant under
+        # the lattice's isometries and the walk pins no point.  The leading
+        # coefficient is 2 (1 - r) beta^2 on a lattice of rank r.
         dot = self.dot
+        kappa = 2 * (1 - len(c)) * dot(c, c)
         total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, pinned=2):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
-            delta1 = degree1 - 1
-            pi1, pj1 = c1[1], c1[2]  # beta_1 . E_1, beta_1 . E_2
-            pi2, pj2 = c2[1], c2[2]
-            total += (
-                binomial(delta - 1, delta1)
-                * weight
-                * n1
-                * n2
-                * pairing
-                * (pi1 * pi1 * pj2 * pj2 - pi1 * pj1 * pi2 * pj2)
-            )
+            bracket = dot(c1, c1) * dot(c2, c2) - pairing * pairing
+            total += binomial(delta - 1, degree1 - 1) * weight * n1 * n2 * pairing * bracket
         quotient, remainder = divmod(total, kappa)
         if remainder:
             raise RecursionFailure(f"four-divisor relation left remainder at {c}")
@@ -689,6 +658,8 @@ def load_cache(path: str | Path) -> GwTable:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"cache file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise CacheFormatError(f"cache file {path} nests its JSON too deeply") from None
     if not isinstance(document, dict):
         raise CacheFormatError(f"cache file {path} must hold a JSON object")
     for key in ("version", "surface", "entries"):
@@ -732,6 +703,11 @@ def load_cache(path: str | Path) -> GwTable:
             raise CacheFormatError(
                 f"cache file {path}: bad decimal string {raw!r}"
             ) from None
+        # Counts are never negative, and save_cache writes only nonzero ones.
+        if value <= 0:
+            raise CacheFormatError(
+                f"cache file {path}: class {vector} has count {value}, not positive"
+            )
         orbit = orbit_of(tuple(vector))
         # Counts are invariant under permuting the points, and the memo is
         # keyed by orbit: the rows of one orbit, and the rows of a class

@@ -440,6 +440,27 @@ def test_corrupt_cache_is_advisory(tmp_path, capsys):
     assert json.loads(cache.read_text())["surface"] == "blp2:k=0"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"version":1,"surface":"blp2:k=2","entries":[{"class":[3,1,1],"n0":"-5"}]}',
+        '{"version":1,"surface":"blp2:k=2","entries":[{"class":[3,1,1],"n0":"0"}]}',
+        "[" * 200000,
+    ],
+    ids=["negative-count", "zero-count", "nested-too-deeply"],
+)
+def test_cache_with_a_bad_count_or_deep_json_is_advisory(tmp_path, capsys, payload):
+    cache = tmp_path / "bad.json"
+    cache.write_text(payload)
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "3,1,1",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (0, "12\n")
+    assert err.count("warning: ignoring unreadable cache") == 1
+    assert err.count("\n") == 1
+
+
 def test_cache_under_a_regular_file_is_skipped(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

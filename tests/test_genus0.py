@@ -353,8 +353,9 @@ def test_plane_evaluates_bottom_up():
 # before anything else, so only standard forms (m1 + m2 + m3 <= d) evaluate
 # a relation.  The oracle below is the pipeline it replaced: a relation on
 # every orbit representative it reaches, the quadratic transformation only
-# at delta = 0.  It shares the relations and the walk with the engine; what
-# it checks is that the order of the reductions does not change a count.
+# where no relation applies (delta = 0, or beta^2 = 0 at delta = 1, 2).  It
+# shares the relations and the walk with the engine; what it checks is that
+# the order of the reductions does not change a count.
 
 
 def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
@@ -377,9 +378,9 @@ def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
         return engine.value(c[:-1])
     if delta >= 3:
         return engine._two_point_relation(c, delta)
-    if delta == 2:
-        return engine._one_point_relation(c, delta)
-    if delta == 1:
+    if delta >= 1 and engine.dot(c, c) != 0:
+        # Off the standard forms too, as long as its leading coefficient
+        # 2 (1 - r) beta^2 is not zero.
         return engine._four_divisor_relation(c, delta)
     assert len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d, c
     return engine._cremona(c)
@@ -410,8 +411,8 @@ def test_cremona_first_agrees_with_the_relation_first_engine(k, bound):
 
 
 EIGHT_POINT_PINS = [
-    ((6,) + (2,) * 8, 90),  # -2K, by the four-divisor relation
-    ((9,) + (3,) * 8, 2880),  # -3K, by the one-point relation
+    ((6,) + (2,) * 8, 90),  # -2K, by the four-divisor relation at delta = 1
+    ((9,) + (3,) * 8, 2880),  # -3K, by the four-divisor relation at delta = 2
     ((8,) + (2,) * 8, 664160448),
     ((8, 4) + (2,) * 7, 1214640),
     ((9,) + (3,) * 6 + (2, 1), 4209120),
@@ -425,22 +426,44 @@ def test_eight_point_pins(coeffs, expected):
 
 def test_eight_point_fill_nests_a_few_frames_per_point(monkeypatch):
     # Cremona chains and drops nest, three frames per step; the deepest
-    # chain of this fill is 10 reductions.  The one-point and four-divisor
-    # relations fire only on -3K and -2K.
+    # chain of this fill is 10 reductions.  The four-divisor relation fires
+    # only on -2K and -3K.
     fired = []
-    for name in ("_one_point_relation", "_four_divisor_relation"):
-        def recording(self, c, delta, real=getattr(_Engine, name), name=name):
-            fired.append((name, c))
-            return real(self, c, delta)
+    real = _Engine._four_divisor_relation
 
-        monkeypatch.setattr(_Engine, name, recording)
+    def recording(self, c, delta):
+        fired.append(c)
+        return real(self, c, delta)
+
+    monkeypatch.setattr(_Engine, "_four_divisor_relation", recording)
     engine = _Engine(Surface.blowup(8))
     with recursion_margin(40):
         engine.ensure(9, 8)
-    assert sorted(fired) == [
-        ("_four_divisor_relation", (6,) + (2,) * 8),
-        ("_one_point_relation", (9,) + (3,) * 8),
-    ]
+    assert sorted(fired) == [(6,) + (2,) * 8, (9,) + (3,) * 8]
+
+
+def _outcome(engine: _Engine, c: tuple[int, ...]) -> int | type:
+    try:
+        return engine.value(c)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_typed_classes_agree_with_the_relation_first_engine():
+    # Every orbit key a user can type with d <= 6, in and out of the chamber:
+    # a zero leading coefficient or a stalled reduction on either pipeline
+    # shows up as a different value or a different error.
+    keys = 0
+    for k in range(9):
+        surface = Surface.blowup(k)
+        engine, oracle = _Engine(surface), _Engine(surface)
+        oracle.lattice = dataclasses.replace(_BLOWUPS, reduce=relation_first)
+        for d in range(-1, 7):
+            for ms in itertools.combinations_with_replacement(range(d + 1, -3, -1), k):
+                c = (d, *ms)
+                assert _outcome(engine, c) == _outcome(oracle, c), c
+                keys += 1
+    assert keys == 92323
 
 
 def test_a_stalled_reduction_is_a_recursion_failure():
@@ -665,6 +688,15 @@ def test_cache_wrong_rank_rejected(tmp_path):
         '{"version":1,"surface":"blp2:k=0","entries":[{"class":[2],"n0":"twelve"}]}',
         '{"version":1,"surface":"nowhere","entries":[]}',
         '{"version":1,"surface":"blp2:k=0"}',
+        pytest.param(
+            '{"version":1,"surface":"blp2:k=2","entries":[{"class":[3,1,1],"n0":"-5"}]}',
+            id="negative-count",
+        ),
+        pytest.param(
+            '{"version":1,"surface":"blp2:k=2","entries":[{"class":[3,1,1],"n0":"0"}]}',
+            id="zero-count",
+        ),
+        pytest.param("[" * 200000, id="nested-too-deeply"),
     ],
 )
 def test_cache_corrupt_files_rejected(tmp_path, payload):

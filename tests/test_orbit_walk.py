@@ -84,26 +84,20 @@ def test_orbit_weights_count_their_members(k, coeffs):
     assert covered == {b1.coeffs for b1, *_ in support_pairs(surface, beta, table)}
 
 
-# The summands of the three relations, with (A, B) = (L, L) for two points,
-# (E_1, L, E_1) for one point and (E_1, E_2, E_1, E_2) for none; E_1 and E_2
-# are read off the first two points, which the walk must pin.
-def _two_point(delta, degree1, c1, c2, pairing):
+# The summands of the two relations: (A, B) = (L, L) for two points, and
+# four divisors contracted over the lattice for none.  Both are invariant
+# under permuting the points, so the walk pins none.
+def _two_point(delta, degree1, c1, c2, dot):
     delta1 = degree1 - 1
     bracket = c2[0] * binomial(delta - 3, delta1 - 1) - c1[0] * binomial(delta - 3, delta1)
-    return pairing * c1[0] * bracket
+    return dot(c1, c2) * c1[0] * bracket
 
 
-def _one_point(delta, degree1, c1, c2, pairing):
-    return binomial(delta - 2, degree1 - 1) * pairing * c1[1] * (c1[1] * c2[0] - c1[0] * c2[1])
-
-
-def _four_divisor(delta, degree1, c1, c2, pairing):
+def _four_divisor(delta, degree1, c1, c2, dot):
+    pairing = dot(c1, c2)
     return binomial(delta - 1, degree1 - 1) * pairing * (
-        c1[1] ** 2 * c2[2] ** 2 - c1[1] * c1[2] * c2[1] * c2[2]
+        dot(c1, c1) * dot(c2, c2) - pairing * pairing
     )
-
-
-RELATIONS = [(_two_point, 0), (_one_point, 1), (_four_divisor, 2)]
 
 
 @pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
@@ -116,34 +110,34 @@ def test_weighted_relation_sums_match_the_pair_sums(k, coeffs):
     dot = surface._dot
     pairs = [(b1.coeffs, n1, b2.coeffs, n2)
              for b1, n1, b2, n2 in support_pairs(surface, CurveClass(key), table)]
-    for summand, pinned in RELATIONS:
+    for summand in (_two_point, _four_divisor):
         expected = sum(
-            n1 * n2 * summand(delta, surface.delta(CurveClass(c1)) + 1, c1, c2, dot(c1, c2))
+            n1 * n2 * summand(delta, surface.delta(CurveClass(c1)) + 1, c1, c2, dot)
             for c1, n1, c2, n2 in pairs
         )
         weighted = sum(
-            weight * n1 * n2 * summand(delta, degree1, c1, c2, dot(c1, c2))
-            for weight, degree1, c1, n1, c2, n2 in engine.pairs(key, pinned)
+            weight * n1 * n2 * summand(delta, degree1, c1, c2, dot)
+            for weight, degree1, c1, n1, c2, n2 in engine.pairs(key)
         )
         assert weighted == expected, summand.__name__
 
 
 def test_pinning_the_read_points_matters():
-    # On (5; 2, 2, 2) the points are one block; without pinning E_1 the
-    # walk places the largest part multiplicity first, and the one-point
-    # sum comes out wrong.  The test above would catch a walk that forgot
-    # to pin.
+    # On (5; 2, 2, 2) the points are one block; a summand that reads E_1
+    # is not invariant under the stabiliser, and its weighted sum over the
+    # unpinned walk differs from its sum over the pairs, which the walk
+    # with every point pinned yields one by one.  The test above would
+    # catch a relation whose summand read a point.
     surface = Surface.blowup(3)
     key = (5, 2, 2, 2)
     table = GwTable(surface=surface)
-    engine, dot = table._engine, surface._dot
-    delta = surface.delta(CurveClass(key))
+    engine = table._engine
     sums = [
         sum(
-            weight * n1 * n2 * _one_point(delta, degree1, c1, c2, dot(c1, c2))
-            for weight, degree1, c1, n1, c2, n2 in engine.pairs(key, pinned)
+            weight * n1 * n2 * c1[1] * c2[0]
+            for weight, _, c1, n1, c2, n2 in engine.pairs(key, pinned)
         )
-        for pinned in (0, 1)
+        for pinned in (0, surface.k)
     ]
     assert sums[0] != sums[1]
 
