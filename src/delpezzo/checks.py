@@ -45,6 +45,7 @@ from .genus2 import (
     reconcile,
 )
 from .numerics import to_decimal_string
+from .orbits import orbit_key
 from .surface import CurveClass, Surface, quadric_to_blowup_class
 
 __all__ = ["CheckResult", "run_suite", "render_text", "SCOPES"]
@@ -236,20 +237,22 @@ def _check_sweep(scope: str) -> list[CheckResult]:
     examined = balanced = 0
     for surface, beta, table in _sweep_classes(scope):
         examined += 1
+        key = orbit_key(beta.coeffs)  # beta itself on the quadric
         try:
-            walk = list(_pair_terms(surface, beta, table))
+            walk = list(_pair_terms(surface, CurveClass(key), table))
             # Every splitting summand is a fixed combination of (t0, t1, t2)
             # and each of those is a summand up to a constant, so comparing
-            # them is exact.  The walk yields one pair per orbit of the
-            # permutations of points fixing beta, keyed here by the parts'
-            # multiplicities sorted within each block of equal multiplicity of
-            # beta.  Swapping the parts maps an orbit onto an orbit of the same
-            # size, so the swapped orbit must have been walked too, with the
-            # same weight and summand.  This runs before the moments are read
-            # from the walk, whose defects can also break exact divisions.
+            # them is exact.  The walk of beta's orbit key, never the moments
+            # memo, yields one pair per orbit of the permutations of points
+            # fixing the key, keyed here by the parts' multiplicities sorted
+            # within each block of equal multiplicity of the key.  Swapping
+            # the parts maps an orbit onto an orbit of the same size, so the
+            # swapped orbit must have been walked too, with the same weight
+            # and summand.  This runs before the moments are read from the
+            # walk, whose defects can also break exact divisions.
             terms = {}
             for weight, u, v, t in walk:
-                orbits = tuple((p[0], *sorted(zip(beta.coeffs[1:], p[1:]))) for p in (u, v))
+                orbits = tuple((p[0], *sorted(zip(key[1:], p[1:]))) for p in (u, v))
                 terms[orbits] = weight, t
             if any(terms.get((b, a)) != term for (a, b), term in terms.items()):
                 problems.append(f"{surface.descriptor}:{beta}: asymmetric summand")

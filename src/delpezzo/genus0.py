@@ -34,8 +34,8 @@ On blow-ups the counts are invariant under the Weyl group W(E_k), which
 the permutations of the points and the quadratic Cremona transformation
 generate (Goettsche-Pandharipande).  So a class of degree >= 2 whose
 three largest multiplicities sum past its degree is first sent through
-the quadratic transformation based at those three points, which strictly
-lowers the degree; a chain of them ends at a standard form, with
+``orbits.cremona`` at those three points, which strictly lowers the
+degree; a chain of them ends at a standard form, with
 m_1 + m_2 + m_3 <= d or fewer than three points.  A standard form with a
 multiplicity 0 or 1 loses that coefficient: forgetting a blown-up point
 off the curve, or trading a point of multiplicity one for a generic point
@@ -69,8 +69,8 @@ degree, the orbit representatives with nonzero count, bucketed by their
 first coordinate (the line degree, or ``a`` on the quadric).  Both are
 additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket ``e``
 of level ``D1`` only with the bucket ``beta[0] - e`` of level ``D - D1``.
-On blow-ups the walk enumerates ``beta1`` up to the stabiliser of
-``beta``, the permutations of points of equal multiplicity: each
+On blow-ups the walk of an orbit key ``beta`` enumerates ``beta1`` up to
+its stabiliser, the permutations of points of equal multiplicity: each
 representative of the smaller bucket is placed on the points of ``beta``
 once per way of giving every block of equal multiplicity a multiset of
 part multiplicities, weighted by the number of ways to arrange that
@@ -81,10 +81,9 @@ holds one bidegree and every weight is 1.  A complement missing from its
 bucket has count zero, because the candidates of a level contain every
 orbit that can carry curves.  Permutations are built only at the output:
 ``support_enumerate`` expands the orbits into every member, and
-``support_pairs`` is the same walk with every point pinned, so each of its
-orbits is one ordered pair.
-The orbit combinatorics (keys, blocks, placements, expansion) live in
-``orbits``.
+``support_pairs`` is the same walk of any member with every point pinned,
+so each of its orbits is one ordered pair.  The orbit combinatorics
+(keys, Cremona steps, blocks, placements, expansion) live in ``orbits``.
 
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up: only the drop and Cremona reductions nest,
@@ -122,7 +121,7 @@ from .numerics import binomial, from_decimal_string, to_decimal_string
 from .orbits import (
     Coeffs,
     block_sizes,
-    key_positions,
+    cremona,
     orbit_key,
     orbit_rows,
     placements,
@@ -247,9 +246,9 @@ class _Engine:
     pair of run lengths and block sizes the walks meet: label patterns, one
     per stabiliser orbit, shared by every representative of the same shape.
 
-    ``moments`` is the genus-two layer's memo on the same table: orbit key
-    to ``(n0, S0, S1, S2)``, each of which is invariant under permuting
-    the points.
+    ``moments`` is the genus-two layer's memo on the same table: standard
+    form (``orbits.standard_form``; the class itself on the quadric) to
+    ``(n0, S0, S1, S2)``, each of which is invariant under W(E_k).
     """
 
     def __init__(self, surface: Surface) -> None:
@@ -270,9 +269,10 @@ class _Engine:
         return cached
 
     def pairs(self, c: Coeffs, pinned: int = 0) -> Iterator[Pair]:
-        """Ordered splittings of the orbit key ``c`` into two classes with
-        nonzero counts, one per orbit of the permutations of points that fix
-        ``c`` and its first ``pinned`` points, weighted by the orbit size."""
+        """Ordered splittings of ``c`` into two classes with nonzero counts,
+        one per orbit of the permutations of points that fix ``c`` and its
+        first ``pinned`` points, weighted by the orbit size; ``c`` is an
+        orbit key unless every point is pinned."""
         degree = self.lattice.degree(c)
         self.ensure(len(c), degree - 1)
         return self.lattice.walk(self, c, degree, pinned)
@@ -367,7 +367,7 @@ class _Engine:
             # A line through at most two of the blown-up points is unique.
             return 1
         if len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d:
-            return self._cremona(c)
+            return self.value(cremona(c))
         if ms and ms[-1] <= 1:
             return self.value(c[:-1])
         if delta >= 3:
@@ -423,14 +423,6 @@ class _Engine:
         if remainder:
             raise RecursionFailure(f"four-divisor relation left remainder at {c}")
         return quotient
-
-    def _cremona(self, c: Coeffs) -> int:
-        # Quadratic transformation based at the three points of largest
-        # multiplicity (the first three of the representative); the counts
-        # are invariant under it, and it lowers the degree when
-        # m_1 + m_2 + m_3 > d.
-        d, a, b, e, *rest = c
-        return self.value((2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *rest))
 
 
 @dataclass(frozen=True)
@@ -543,38 +535,21 @@ def n0(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     return _engine(surface, table).value(beta.coeffs)
 
 
-def _walk(
-    surface: Surface, beta: CurveClass, table: GwTable | None, pinned: int
-) -> Iterator[Pair]:
-    """The engine's walk of ``beta`` with its first ``pinned`` points pinned
-    (the quadric has none to pin)."""
-    surface.check_class(beta)
-    engine = _engine(surface, table)
-    c = beta.coeffs
-    key = engine.lattice.key(c)
-    if key == c:
-        yield from engine.pairs(c, pinned)
-        return
-    back = key_positions(c)
-    for weight, degree1, k1, n1, k2, n2 in engine.pairs(key, pinned):
-        c1, c2 = tuple(map(k1.__getitem__, back)), tuple(map(k2.__getitem__, back))
-        yield weight, degree1, c1, n1, c2, n2
-
-
 def orbit_pairs(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
 ) -> Iterator[Pair]:
-    """The splittings of :func:`support_pairs`, one per orbit of the
-    permutations of points that fix ``beta``, on coefficient tuples.
+    """The splittings of the orbit key of ``beta``, one per orbit of the
+    permutations of points that fix it, on coefficient tuples.
 
     Yields ``(weight, deg1, c1, n0(c1), c2, n0(c2))`` with ``weight`` the
     orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
-    the ordered splittings of a summand invariant under those permutations
-    is the weighted sum over these; on the quadric every weight is 1.  The
-    engine walks the orbit key of ``beta``; its parts are carried back to
-    the order of the points of ``beta``.
+    the ordered splittings of ``beta`` of a summand invariant under
+    permuting the points is the weighted sum over these; on the quadric
+    the key is ``beta`` and every weight is 1.
     """
-    return _walk(surface, beta, table, 0)
+    surface.check_class(beta)
+    engine = _engine(surface, table)
+    return engine.pairs(engine.lattice.key(beta.coeffs))
 
 
 def support_pairs(
@@ -584,11 +559,12 @@ def support_pairs(
 
     Yields ``(beta1, n0(beta1), beta2, n0(beta2))``.  This is the sum range
     shared by every splitting formula downstream: terms outside it vanish.
-    It is the engine's walk (see :func:`orbit_pairs`) with every point
-    pinned: each block of points is then a single point, so every orbit
-    is one ordered pair of weight 1.
+    It is the engine's walk (see :func:`orbit_pairs`) of ``beta`` with
+    every point pinned: each block of points is then a single point, in any
+    order, so every orbit is one ordered pair of weight 1.
     """
-    for _, _, c1, n1, c2, n2 in _walk(surface, beta, table, surface.k):
+    surface.check_class(beta)
+    for _, _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs, surface.k):
         yield CurveClass(c1), n1, CurveClass(c2), n2
 
 

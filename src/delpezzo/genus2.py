@@ -16,12 +16,12 @@ moments, summed over those ordered pairs:
 
 Each summand is invariant under swapping the two parts, because
 C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)), and under the
-permutations of blown-up points that fix ``beta``, because counts,
-pairings and degrees are.  So the moments are read from one walk of the
-ordered pairs up to that stabiliser: one pair per orbit, its summand
-weighted by the orbit size (``genus0.orbit_pairs``).  ``n0`` and the
-moments are also invariant under every permutation of the points, so a
-table computes them once per orbit of ``beta``.  In this basis:
+permutations of blown-up points, because counts, pairings and degrees
+are.  So the moments are read from one walk of the orbit key of ``beta``
+up to its stabiliser: one pair per orbit, its summand weighted by the
+orbit size (``genus0.orbit_pairs``).  ``n0`` and the moments are
+invariant under W(E_k), so a table computes them once per standard form
+(``orbits.standard_form``).  In this basis:
 
     rt2       = (4 + 2 b2) beta^2 n0 + S2
     taut      = (x1^2/deg) n0 - S1/(2 deg)
@@ -65,7 +65,7 @@ from typing import Iterator
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, _engine, n0, orbit_pairs
 from .numerics import binomial, to_decimal_string, to_integer
-from .orbits import Coeffs
+from .orbits import Coeffs, standard_form
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -92,7 +92,7 @@ def _pair_terms(
     surface: Surface, beta: CurveClass, table: GwTable | None
 ) -> Iterator[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]]:
     """The summands of ``S0, S1, S2``, one per orbit of ordered splittings
-    of ``beta`` under the permutations of points that fix ``beta``:
+    of the orbit key of ``beta`` under its stabiliser:
     ``(weight, u, v, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with ``u``, ``v``
     the coefficient tuples of one member ``(beta1, beta2)``, ``weight`` the
     orbit size and ``t0 = w n1 n2 (b1.b2)``.  Each summand is the same on
@@ -207,9 +207,9 @@ def _record(
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
     """One ``n0`` call and one splitting pass: everything the genus-two
     quantities of ``beta`` need.  ``n0`` and the moments are invariant
-    under permuting the points, so the table's engine keeps them per orbit
-    key and each orbit is walked once per table; the record is rebuilt
-    around the caller's ``beta``."""
+    under W(E_k), so the table's engine keeps them per standard form, the
+    class it walks; the record is built around the caller's ``beta``, so
+    its errors name that class."""
     if table is None:
         table = GwTable(surface)
     deg = surface.anticanonical_degree(beta)
@@ -218,12 +218,13 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
-    engine = _engine(surface, table)
-    key = engine.lattice.key(beta.coeffs)
-    stored = engine.moments.get(key)
+    key = standard_form(beta.coeffs) if surface.is_blowup else beta.coeffs
+    moments = _engine(surface, table).moments
+    stored = moments.get(key)
     if stored is None:
-        count = n0(surface, beta, table)
-        stored = engine.moments[key] = (count, *_sums(_pair_terms(surface, beta, table)))
+        walked = CurveClass(key)
+        count = n0(surface, walked, table)
+        stored = moments[key] = (count, *_sums(_pair_terms(surface, walked, table)))
     return _record(surface, beta, deg, *stored)
 
 

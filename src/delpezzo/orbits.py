@@ -1,4 +1,4 @@
-"""Point-permutation orbits of blow-up classes.
+"""Point-permutation and Cremona orbits of blow-up classes.
 
 A blow-up class ``(d, m_1, ..., m_k)`` has the same genus-zero count as
 every class obtained by permuting its multiplicities, so the genus-zero
@@ -6,6 +6,11 @@ engine stores one representative per orbit, ``orbit_key``: the
 multiplicities in non-increasing order.  The points of a representative
 with equal multiplicity form blocks of consecutive indices, and the
 permutations within blocks are its stabiliser.
+
+With the quadratic transformation ``cremona`` the permutations generate
+the Weyl group W(E_k), which preserves pairings, degrees and counts
+(Goettsche-Pandharipande).  ``standard_form`` follows a key down to the
+chamber, the chain the genus-zero engine takes one memoised step at a time.
 
 ``placements`` enumerates the ways to put the multiplicities of one
 representative on the points of another, one per orbit of that
@@ -27,6 +32,24 @@ Coeffs = tuple[int, ...]
 def orbit_key(c: Coeffs) -> Coeffs:
     """Representative of the point-permutation orbit of a blow-up class."""
     return (c[0], *sorted(c[1:], reverse=True))
+
+
+def cremona(c: Coeffs) -> Coeffs:
+    """The quadratic transformation based at the first three points, the
+    three largest multiplicities of an orbit key; it lowers ``d`` exactly
+    when ``m_1 + m_2 + m_3 > d``."""
+    d, a, b, e, *rest = c
+    return (2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *rest)
+
+
+def standard_form(c: Coeffs) -> Coeffs:
+    """The orbit key of ``c`` carried down by ``cremona``, re-sorted after
+    each step, while ``d >= 2`` and ``m_1 + m_2 + m_3 > d``: a member of
+    the W(E_k)-orbit of ``c``, reached in finitely many steps of lower ``d``."""
+    key = orbit_key(c)
+    while len(key) >= 4 and key[0] >= 2 and key[1] + key[2] + key[3] > key[0]:
+        key = orbit_key(cremona(key))
+    return key
 
 
 def runs(values: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -134,12 +157,3 @@ def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
         rows.extend([((d, *map(pick, label)), value) for _, label in labels])
     return rows
 
-
-def key_positions(c: Coeffs) -> Coeffs:
-    """``back`` with ``c == tuple(map(orbit_key(c).__getitem__, back))``:
-    where each coordinate of the blow-up class ``c`` sits in its orbit key."""
-    back = [0] * len(c)
-    order = sorted(range(1, len(c)), key=lambda p: -c[p])
-    for i, p in enumerate(order, 1):
-        back[p] = i
-    return tuple(back)

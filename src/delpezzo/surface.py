@@ -42,7 +42,7 @@ MAX_BLOWUPS = 8
 _BLOWUP = "blp2"
 _QUADRIC = "p1xp1"
 
-_DESCRIPTOR_RE = re.compile(r"^blp2:k=([0-8])$")
+_DESCRIPTOR_RE = re.compile(r"blp2:k=([0-8])")
 
 
 def _blowup_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -127,7 +127,7 @@ class Surface:
         """Parse a descriptor string: ``"blp2:k=<0..8>"`` or ``"p1xp1"``."""
         if descriptor == _QUADRIC:
             return cls.quadric()
-        m = _DESCRIPTOR_RE.match(descriptor)
+        m = _DESCRIPTOR_RE.fullmatch(descriptor)
         if m:
             return cls.blowup(int(m.group(1)))
         raise InvalidClass(f"unknown surface descriptor {descriptor!r}")

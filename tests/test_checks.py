@@ -9,6 +9,7 @@ from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
 from delpezzo.cli import main
 from delpezzo.errors import RecursionFailure
 from delpezzo.genus0 import orbit_pairs
+from delpezzo.orbits import orbit_key
 from delpezzo.surface import CurveClass
 
 
@@ -109,8 +110,10 @@ def test_failure_renders_as_fail():
 
 
 def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
-    # The swap test and the genus-two moments read one walk of each class.
-    # The counter wraps the genus-zero walk under `_pair_terms`.
+    # The swap test and the genus-two moments read one walk of each class's
+    # orbit key, and never the moments memo, so each of the 100 keys is
+    # walked once per member.  The counter wraps the genus-zero walk under
+    # `_pair_terms`.
     walks = Counter()
 
     def counting(surface, beta, table=None):
@@ -122,7 +125,8 @@ def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
     assert result.status == identity.status == "pass"
     assert "247 classes examined" in result.justification
     assert "247 classes examined" in identity.justification
-    assert len(walks) == 247
+    assert len(walks) == 100
+    assert all(beta.coeffs == orbit_key(beta.coeffs) for _, beta in walks)
     assert sum(walks.values()) == 247
 
 

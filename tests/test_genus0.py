@@ -44,7 +44,7 @@ from delpezzo.genus0 import (
     support_pairs,
 )
 from delpezzo.genus2 import genus2_report
-from delpezzo.orbits import orbit_key
+from delpezzo.orbits import cremona, orbit_key
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
 from blowup_point import append_coefficient
 from recursion_limit import recursion_margin
@@ -383,7 +383,7 @@ def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
         # 2 (1 - r) beta^2 is not zero.
         return engine._four_divisor_relation(c, delta)
     assert len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d, c
-    return engine._cremona(c)
+    return engine.value(cremona(c))
 
 
 RELATION_FIRST_BOUNDS = {3: 10, 4: 8, 5: 7, 6: 6, 7: 5, 8: 3}
@@ -697,6 +697,10 @@ def test_cache_wrong_rank_rejected(tmp_path):
             id="zero-count",
         ),
         pytest.param("[" * 200000, id="nested-too-deeply"),
+        pytest.param(
+            '{"version":1,"surface":"blp2:k=2\\n","entries":[]}',
+            id="descriptor-with-newline",
+        ),
     ],
 )
 def test_cache_corrupt_files_rejected(tmp_path, payload):

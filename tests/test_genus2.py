@@ -10,6 +10,8 @@ the symplectic sum is 6*12*9 + 2*21*4*2 = 984.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from delpezzo.genus2 import (
     _Moments,
     _moments,
     _pair_terms,
+    _sums,
     applicability_warnings,
     cr_components,
     cr_total,
@@ -35,6 +38,7 @@ from delpezzo.genus2 import (
     two_component_count,
 )
 from delpezzo.numerics import binomial
+from delpezzo.orbits import orbit_key, standard_form
 from delpezzo.surface import CurveClass, Surface
 
 PLANE = Surface.blowup(0)
@@ -403,11 +407,13 @@ MANY_PAIRS = [
     "surface, coeffs", MANY_PAIRS, ids=[s.descriptor for s, _ in MANY_PAIRS]
 )
 def test_pair_terms_match_the_surface_api_transcription(surface, coeffs):
-    # Each orbit's summand is the transcription's summand of its member,
-    # and the weights add up to the ordered pairs.
+    # The walk runs on the orbit key: each orbit's summand is the
+    # transcription's summand of its member among the splittings of the
+    # key, and the weights add up to the ordered pairs.
     beta = CurveClass(coeffs)
     table = GwTable(surface=surface)
-    expected = {(u, v): t for u, v, t in pair_term_oracle(surface, beta, table)}
+    key = CurveClass(orbit_key(coeffs))
+    expected = {(u, v): t for u, v, t in pair_term_oracle(surface, key, table)}
     actual = list(_pair_terms(surface, beta, table))
     assert len(expected) >= 20
     assert len({(u, v) for _, u, v, _ in actual}) == len(actual)
@@ -505,6 +511,86 @@ def test_report_and_reconcile_walk_the_splittings_once(pair_walks, surface, coef
 def test_each_quantity_walks_the_splittings_at_most_once(pair_walks, quantity):
     quantity(PLANE, plane_class(4))
     assert len(pair_walks) == 1
+
+
+# ---------------------------------------------------------------------------
+# The moments are W(E_k)-invariant, so the table keeps them per standard form.
+
+
+def _walked_moments(surface, coeffs, table):
+    """``(n0, S0, S1, S2)`` of a class from its own walk, never the moments
+    memo, or the type of the error the walk raised."""
+    beta = CurveClass(coeffs)
+    try:
+        return (n0(surface, beta, table), *_sums(_pair_terms(surface, beta, table)))
+    except Exception as exc:
+        return type(exc)
+
+
+# k: (largest d, largest anticanonical degree, keys in the box).  About
+# 1 s in all, most of it on eight points.
+CREMONA_BOXES = {
+    3: (6, 8, 221),
+    4: (5, 7, 426),
+    5: (5, 6, 823),
+    6: (4, 6, 866),
+    7: (4, 5, 1195),
+    8: (4, 5, 1889),
+}
+
+
+@pytest.mark.parametrize("k", sorted(CREMONA_BOXES))
+def test_moments_of_a_key_are_those_of_its_standard_form(k):
+    # Every orbit key with delta >= 1, d >= 2 and m1 + m2 + m3 > d in the
+    # box, multiplicities in [-2, d + 1] (out of the chamber too): the key
+    # and its standard form, each walked, give the same n0 and moments or
+    # raise the same error.
+    largest_d, largest_degree, expected_keys = CREMONA_BOXES[k]
+    surface = Surface.blowup(k)
+    table = GwTable(surface=surface)
+    keys = 0
+    for d in range(2, largest_d + 1):
+        for ms in itertools.combinations_with_replacement(range(d + 1, -3, -1), k):
+            key = (d, *ms)
+            degree = 3 * d - sum(ms)
+            if degree < 2 or degree > largest_degree or ms[0] + ms[1] + ms[2] <= d:
+                continue
+            std = standard_form(key)
+            assert std == orbit_key(std) and 3 * std[0] - sum(std[1:]) == degree
+            assert std[0] < 2 or std[1] + std[2] + std[3] <= std[0], key
+            assert _walked_moments(surface, key, table) == _walked_moments(surface, std, table), key
+            keys += 1
+    assert keys == expected_keys
+
+
+# (k, largest anticanonical degree): (orbit representatives with
+# delta >= 1, standard forms among them, sha256 of the sorted rows
+# (key, n0, S0, S1, S2)).  The digests were computed with the moments kept
+# per orbit key, one walk per representative.
+STANDARD_FORM_MOMENT_PINS = {
+    (5, 10): (176, 43, "e8bdfee35e6e18e94349ba96bce6580a8e45dc73105139f04fdf7b4849c78082"),
+    (7, 7): (509, 36, "fc6e45001fd3077c8b185d5b86a4a2dfe29e6df2434b9d8e1d8332a7fe606638"),
+    (8, 6): (2973, 58, "0cd665ed9a86370fb7420040d2b373de6f3112e9f74a836914223fd65bf0ecbd"),
+}
+
+
+@pytest.mark.parametrize("k, bound", sorted(STANDARD_FORM_MOMENT_PINS))
+def test_a_table_walks_each_standard_form_once(pair_walks, k, bound):
+    reps, walks, digest = STANDARD_FORM_MOMENT_PINS[(k, bound)]
+    surface = Surface.blowup(k)
+    table = GwTable(surface=surface)
+    engine = table._engine
+    engine.ensure(surface.rank, bound)
+    rows = []
+    for degree in range(2, bound + 1):
+        for bucket in engine.support[(surface.rank, degree)].values():
+            for key in bucket:
+                moments = _moments(surface, CurveClass(key), table)
+                rows.append((key, moments.n0, moments.s0, moments.s1, moments.s2))
+    rows.sort()
+    assert len(rows) == reps
+    assert len(pair_walks) == len(set(pair_walks)) == walks
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_integrality_small_sweep():

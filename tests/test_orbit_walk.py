@@ -70,18 +70,19 @@ def test_expanded_orbit_pairs_match_the_box(k, coeffs):
 
 @pytest.mark.parametrize("k, coeffs", REPEATED, ids=IDS)
 def test_orbit_weights_count_their_members(k, coeffs):
-    surface, beta = Surface.blowup(k), CurveClass(coeffs)
+    # The walk of any member yields the splittings of its orbit key.
+    surface, key = Surface.blowup(k), orbit_key(coeffs)
     table = GwTable(surface=surface)
     covered = set()
-    for weight, degree1, c1, n1, c2, n2 in orbit_pairs(surface, beta, table):
-        images = _stabiliser_images(coeffs, c1)
+    for weight, degree1, c1, n1, c2, n2 in orbit_pairs(surface, CurveClass(coeffs), table):
+        images = _stabiliser_images(key, c1)
         assert weight == len(images)
         assert not images & covered  # one pair per orbit
         covered |= images
-        assert c2 == tuple(a - b for a, b in zip(coeffs, c1))
+        assert c2 == tuple(a - b for a, b in zip(key, c1))
         assert degree1 == surface.anticanonical_degree(CurveClass(c1))
         assert (n1, n2) == (n0(surface, CurveClass(c1)), n0(surface, CurveClass(c2)))
-    assert covered == {b1.coeffs for b1, *_ in support_pairs(surface, beta, table)}
+    assert covered == {b1.coeffs for b1, *_ in support_pairs(surface, CurveClass(key), table)}
 
 
 # The summands of the two relations: (A, B) = (L, L) for two points, and

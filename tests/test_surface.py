@@ -68,7 +68,9 @@ def test_descriptor_round_trip(descriptor):
     assert Surface.parse(descriptor).descriptor == descriptor
 
 
-@pytest.mark.parametrize("descriptor", ["blp2:k=9", "blp2", "p2", "blp2:k=-1", ""])
+@pytest.mark.parametrize(
+    "descriptor", ["blp2:k=9", "blp2", "p2", "blp2:k=-1", "", "blp2:k=2\n"]
+)
 def test_bad_descriptors(descriptor):
     with pytest.raises(InvalidClass):
         Surface.parse(descriptor)
