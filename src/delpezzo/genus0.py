@@ -30,6 +30,10 @@ Kontsevich's recursion, so the plane needs no case of its own; on the
 quadric every bidegree with a, b >= 1 has delta >= 3, so it always
 applies.
 
+On the quadric the counts are invariant under swapping the two rulings,
+n(a, b) = n(b, a), so a bidegree with a < b is sent to (b, a) and the
+relation runs only on a >= b.  The memo keeps both bidegrees.
+
 On blow-ups the counts are invariant under the Weyl group W(E_k), which
 the permutations of the points and the quadratic Cremona transformation
 generate (Goettsche-Pandharipande).  So a class of degree >= 2 whose
@@ -126,6 +130,7 @@ from .orbits import (
     orbit_rows,
     placements,
     runs,
+    standard_form,
 )
 from .surface import CurveClass, Surface
 
@@ -215,6 +220,13 @@ def _quadric_degree(c: Coeffs) -> int:
     return 2 * (c[0] + c[1])
 
 
+def _sorted_bidegree(c: Coeffs) -> Coeffs:
+    """The quadric's standard form: the bidegree with ``a >= b``, which the
+    swap of the two rulings reaches."""
+    a, b = c
+    return c if a >= b else (b, a)
+
+
 def _quadric_candidates(rank: int, degree: int) -> list[Coeffs]:
     """Bidegrees of the given anticanonical degree that can carry curves."""
     if degree == 2:
@@ -247,8 +259,8 @@ class _Engine:
     per stabiliser orbit, shared by every representative of the same shape.
 
     ``moments`` is the genus-two layer's memo on the same table: standard
-    form (``orbits.standard_form``; the class itself on the quadric) to
-    ``(n0, S0, S1, S2)``, each of which is invariant under W(E_k).
+    form (``_Lattice.standard``) to ``(n0, S0, S1, S2)``, each of which is
+    invariant under the lattice's symmetries.
     """
 
     def __init__(self, surface: Surface) -> None:
@@ -380,9 +392,11 @@ class _Engine:
         a, b = c
         if a < 0 or b < 0:
             return 0
-        if (a, b) in ((1, 0), (0, 1)):
+        if a < b:
+            return self.value((b, a))
+        if (a, b) == (1, 0):
             return 1
-        if a == 0 or b == 0:
+        if b == 0:
             # Multiple covers of a ruling never pass through enough points.
             return 0
         return self._two_point_relation(c, 2 * a + 2 * b - 1)
@@ -430,6 +444,7 @@ class _Lattice:
     """What the engine needs to know about one family of lattices."""
 
     key: Callable[[Coeffs], Coeffs]  # orbit representative: the memo key
+    standard: Callable[[Coeffs], Coeffs]  # standard form: the genus-two moments' key
     degree: Callable[[Coeffs], int]  # anticanonical degree
     candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> representatives
     rows: Callable[[Iterable[tuple[Coeffs, int]]], list[tuple[Coeffs, int]]]  # orbits -> members
@@ -440,6 +455,7 @@ class _Lattice:
 
 _BLOWUPS = _Lattice(
     key=orbit_key,
+    standard=standard_form,
     degree=_blowup_degree,
     candidates=_blowup_candidates,
     rows=orbit_rows,
@@ -449,6 +465,7 @@ _BLOWUPS = _Lattice(
 )
 _QUADRIC = _Lattice(
     key=tuple,
+    standard=_sorted_bidegree,
     degree=_quadric_degree,
     candidates=_quadric_candidates,
     rows=list,
@@ -693,4 +710,13 @@ def load_cache(path: str | Path) -> GwTable:
                 f"cache file {path}: class {vector} has count {value}, but"
                 f" an earlier row for it or a permutation of it has {memo[orbit]}"
             )
+    if not surface.is_blowup:
+        # The engine reads (b, a) for a < b, so a row stands for its swap
+        # partner too: save_cache writes both, and they must agree.
+        for (a, b), value in memo.items():
+            if a < b and memo.get((b, a), value) != value:
+                raise CacheFormatError(
+                    f"cache file {path}: classes [{a}, {b}] and [{b}, {a}] have counts"
+                    f" {value} and {memo[(b, a)]}, but swapping the rulings keeps a count"
+                )
     return table

@@ -20,8 +20,10 @@ permutations of blown-up points, because counts, pairings and degrees
 are.  So the moments are read from one walk of the orbit key of ``beta``
 up to its stabiliser: one pair per orbit, its summand weighted by the
 orbit size (``genus0.orbit_pairs``).  ``n0`` and the moments are
-invariant under W(E_k), so a table computes them once per standard form
-(``orbits.standard_form``).  In this basis:
+invariant under W(E_k) on blow-ups and under swapping the rulings on the
+quadric, so a table computes them once per standard form: the class
+``orbits.standard_form`` reaches, or the sorted bidegree ``(a, b)`` with
+``a >= b``.  In this basis:
 
     rt2       = (4 + 2 b2) beta^2 n0 + S2
     taut      = (x1^2/deg) n0 - S1/(2 deg)
@@ -65,7 +67,7 @@ from typing import Iterator
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, _engine, n0, orbit_pairs
 from .numerics import binomial, to_decimal_string, to_integer
-from .orbits import Coeffs, standard_form
+from .orbits import Coeffs
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -207,9 +209,9 @@ def _record(
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
     """One ``n0`` call and one splitting pass: everything the genus-two
     quantities of ``beta`` need.  ``n0`` and the moments are invariant
-    under W(E_k), so the table's engine keeps them per standard form, the
-    class it walks; the record is built around the caller's ``beta``, so
-    its errors name that class."""
+    under the lattice's symmetries, so the table's engine keeps them per
+    standard form (``_Lattice.standard``), the class it walks; the record
+    is built around the caller's ``beta``, so its errors name that class."""
     if table is None:
         table = GwTable(surface)
     deg = surface.anticanonical_degree(beta)
@@ -218,8 +220,9 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
-    key = standard_form(beta.coeffs) if surface.is_blowup else beta.coeffs
-    moments = _engine(surface, table).moments
+    engine = _engine(surface, table)
+    key = engine.lattice.standard(beta.coeffs)
+    moments = engine.moments
     stored = moments.get(key)
     if stored is None:
         walked = CurveClass(key)

@@ -130,6 +130,23 @@ def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
     assert sum(walks.values()) == 247
 
 
+def test_quadric_sweep_walks_each_bidegree_itself(monkeypatch):
+    # The moments memo is keyed by the sorted bidegree; the sweep walks
+    # (a, b) and (b, a) each, once.
+    walks = Counter()
+
+    def counting(surface, beta, table=None):
+        walks[beta.coeffs] += 1
+        yield from orbit_pairs(surface, beta, table)
+
+    monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
+    result, identity = _check_sweep("quadric")
+    assert result.status == identity.status == "pass"
+    assert "27 classes examined" in result.justification
+    assert len(walks) == sum(walks.values()) == 27
+    assert all((b, a) in walks for a, b in walks)
+
+
 def test_sweep_reports_a_failed_walk(monkeypatch, capsys):
     # A computation error in the walk is a failed check with exit 3, not an
     # error escaping the suite.

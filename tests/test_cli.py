@@ -287,6 +287,31 @@ def test_unknown_quantity_exits_1():
     assert info.value.code == 1
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    parsers = []
+    real = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+
+    def usage_error():
+        with pytest.raises(SystemExit) as info:
+            main(["count", "genus3", "--surface", "blp2:k=0", "--class", "4"])
+        return info.value.code, capsys.readouterr().err
+
+    cli._build_parser.cache_clear()
+    fresh = usage_error()
+    assert fresh[0] == 1 and "invalid choice: 'genus3'" in fresh[1]
+    assert run(capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "3,1,1") == (
+        0, "12\n", ""
+    )
+    assert usage_error() == fresh
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+
+
 def test_computation_error_is_exit_2(capsys):
     # rt2 needs at least one point constraint; an exceptional class has none.
     code, _, err = run(capsys, "count", "rt2", "--surface", "blp2:k=1", "--class", "0,-1")
@@ -530,6 +555,25 @@ def test_quadric_cache_listing_a_class_twice_is_rebuilt(tmp_path, capsys):
     assert out == "12\n"
     assert "ignoring unreadable cache" in err
     assert '"n0":"7"' not in cache.read_text()
+
+
+def test_quadric_cache_disagreeing_with_the_swap_is_rebuilt(tmp_path, capsys):
+    # The engine answers (2, 3) with the entry of (3, 2); a poisoned row of
+    # either order makes the file unreadable.
+    cache = tmp_path / "q.json"
+    cache.write_text(
+        '{"version":1,"surface":"p1xp1","entries":['
+        '{"class":[2,3],"n0":"95"},{"class":[3,2],"n0":"96"}]}'
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "p1xp1", "--class", "2,3",
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "96\n"
+    assert "ignoring unreadable cache" in err and "[2, 3] and [3, 2]" in err
+    rows = {tuple(row["class"]): row["n0"] for row in json.loads(cache.read_text())["entries"]}
+    assert rows[(2, 3)] == rows[(3, 2)] == "96"
 
 
 def test_foreign_cache_is_protected(tmp_path, capsys):

@@ -442,6 +442,41 @@ def test_eight_point_fill_nests_a_few_frames_per_point(monkeypatch):
     assert sorted(fired) == [(6,) + (2,) * 8, (9,) + (3,) * 8]
 
 
+# ---------------------------------------------------------------------------
+# The quadric's ruling swap.  The engine sends a bidegree with a < b to
+# (b, a), so the relation never runs on a < b; the relation itself is
+# invariant under the swap, and this keeps that under test.
+
+
+def test_the_relation_on_both_orders_agrees_with_the_engine():
+    # The two-point relation, called directly on (a, b) and on (b, a) over
+    # the engine's levels, against the count the engine gives each order.
+    engine = _Engine(QUADRIC)
+    engine.ensure(2, 40)
+    checked = 0
+    for a in range(1, 20):
+        for b in range(1, 21 - a):
+            if a != b:
+                relation = engine._two_point_relation((a, b), 2 * (a + b) - 1)
+                assert relation == engine.value((a, b)), (a, b)
+                checked += 1
+    assert checked == 180
+
+
+def test_a_quadric_fill_evaluates_the_relation_on_sorted_bidegrees_only(monkeypatch):
+    evaluated = []
+    real = _Engine._two_point_relation
+
+    def recording(self, c, delta):
+        evaluated.append(c)
+        return real(self, c, delta)
+
+    monkeypatch.setattr(_Engine, "_two_point_relation", recording)
+    _Engine(QUADRIC).ensure(2, 60)
+    assert len(evaluated) == len(set(evaluated)) == 225
+    assert all(a >= b >= 1 for a, b in evaluated)
+
+
 def _outcome(engine: _Engine, c: tuple[int, ...]) -> int | type:
     try:
         return engine.value(c)
@@ -779,6 +814,33 @@ def test_quadric_cache_listing_a_class_twice_rejected(tmp_path):
     )
     with pytest.raises(CacheFormatError, match="permutation"):
         load_cache(path)
+
+
+@pytest.mark.parametrize("rows", [
+    '{"class":[2,3],"n0":"95"},{"class":[3,2],"n0":"96"}',
+    '{"class":[3,2],"n0":"96"},{"class":[2,3],"n0":"95"}',
+])
+def test_quadric_cache_disagreeing_with_the_swap_rejected(tmp_path, rows):
+    # The engine answers (2, 3) with the entry of (3, 2), so a poisoned row
+    # would answer for its partner: the two rows must agree.
+    path = tmp_path / "q.json"
+    path.write_text('{"version":1,"surface":"p1xp1","entries":[' + rows + ']}')
+    with pytest.raises(CacheFormatError, match=r"\[2, 3\] and \[3, 2\] have counts 95 and 96"):
+        load_cache(path)
+
+
+def test_quadric_cache_rows_agree_with_their_swap(tmp_path):
+    table = GwTable(surface=QUADRIC)
+    support_enumerate(QUADRIC, 30, table)
+    path = tmp_path / "q.json"
+    save_cache(table, path)
+    rows = {tuple(row["class"]): row["n0"] for row in json.loads(path.read_text())["entries"]}
+    assert len(rows) == 107
+    assert all(rows[(b, a)] == value for (a, b), value in rows.items())
+    assert load_cache(path) == table
+    # A file listing one order only still loads.
+    path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[2,3],"n0":"96"}]}')
+    assert n0(QUADRIC, CurveClass((3, 2)), load_cache(path)) == 96
 
 
 def _saved_table(tmp_path):

@@ -10,6 +10,7 @@ the symplectic sum is 6*12*9 + 2*21*4*2 = 984.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -591,6 +592,41 @@ def test_a_table_walks_each_standard_form_once(pair_walks, k, bound):
     assert len(rows) == reps
     assert len(pair_walks) == len(set(pair_walks)) == walks
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# On the quadric the moments are swap-invariant, so the table keeps them
+# per sorted bidegree (a, b) with a >= b.
+
+
+def test_quadric_moments_are_those_of_the_class_itself():
+    table, fresh = GwTable(surface=QUADRIC), GwTable(surface=QUADRIC)
+    classes = 0
+    for a in range(13):
+        for b in range(13 - a):
+            if a + b == 0:
+                continue
+            moments = _moments(QUADRIC, CurveClass((a, b)), table)
+            stored = (moments.n0, moments.s0, moments.s1, moments.s2)
+            assert stored == _walked_moments(QUADRIC, (a, b), fresh), (a, b)
+            classes += 1
+    assert classes == 90
+    assert sorted(table._engine.moments) == sorted(
+        (a, b) for a in range(13) for b in range(a + 1) if 0 < a + b <= 12
+    )
+
+
+def test_a_report_of_the_swapped_bidegree_makes_no_walk(pair_walks):
+    table = GwTable(surface=QUADRIC)
+    report = genus2_report(QUADRIC, CurveClass((2, 3)), table)
+    swapped = genus2_report(QUADRIC, CurveClass((3, 2)), table)
+    assert pair_walks == [CurveClass((3, 2))]
+    # The numbers are shared; the class and its warnings are each report's own.
+    assert report.n2j == swapped.n2j == 960
+    assert dataclasses.replace(report, beta=swapped.beta, warnings=()) == dataclasses.replace(
+        swapped, warnings=()
+    )
+    assert report.warnings == ("hypothesis a > 2 fails: a = 2",)
+    assert swapped.warnings == ("hypothesis b > 2 fails: b = 2",)
 
 
 def test_integrality_small_sweep():
