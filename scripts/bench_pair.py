@@ -27,9 +27,10 @@ the seeds, ``correct``, ``attempted`` and ``failed`` of both sides, and per
 end-to-end metric each side's median, quartiles
 (``statistics.quantiles(n=4, method="inclusive")``) and runs, plus the
 number of pairs in which the change is strictly better in the direction
-``BENCHMARK.json`` gives.  An existing ``--out`` file keeps its other
-workloads, so each workload can be run by its own invocation.  Exit status
-1 when a run fails or reports ``correct`` false.
+``BENCHMARK.json`` gives, and a ``verdict`` (see ``verdict``), which is
+also printed.  An existing ``--out`` file keeps its other workloads and its
+claim, so each workload can be run by its own invocation.  Exit status 1
+when a run fails or reports ``correct`` false.
 """
 
 from __future__ import annotations
@@ -113,6 +114,29 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 5), "runs": [round(r, 5) for r in runs]}
 
 
+def verdict(metric: dict, entry: dict, claimed: bool) -> str:
+    """The verdict on one end-to-end metric of one workload.
+
+    ``metric`` is its ``end_to_end`` record in ``BENCHMARK.json`` and
+    ``entry`` its record in the result: each side's ``summary`` and
+    ``change_better_pairs``.  A claimed metric is "met" when the change is
+    better in at least nine tenths of the pairs and its median is better
+    than the parent's by more than the parent's quartile distance.  Any
+    metric is "worse" when the change's median is worse than the parent's
+    by more than the metric's relative ``bound``; else a claim is "not met"
+    and any other metric "within bound".
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1 if metric["better"] == "lower" else -1
+    gain = sign * (parent["median"] - change["median"])
+    if claimed and (10 * entry["change_better_pairs"] >= 9 * len(parent["runs"])
+                    and gain > parent["q3"] - parent["q1"]):
+        return "met"
+    if -gain > metric["bound"] * abs(parent["median"]):
+        return "worse"
+    return "not met" if claimed else "within bound"
+
+
 def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
@@ -148,15 +172,29 @@ def main() -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
+    document: dict = {}
+    if os.path.exists(args.out):
+        with open(args.out) as handle:
+            document = json.load(handle)
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        document["claimed"] = {"workload": workload, "metric": metric}
+    claim = document.get("claimed", {})
+
     metrics = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in runs] for side, runs in sides.items()}
         better = sum(1 for p, c in zip(values["parent"], values["change"])
                      if (c < p if lower else c > p))
-        metrics[name] = {"unit": metric["unit"],
-                         **{side: summary(v) for side, v in values.items()},
-                         "change_better_pairs": better}
+        row = metrics[name] = {"unit": metric["unit"],
+                               **{side: summary(v) for side, v in values.items()},
+                               "change_better_pairs": better}
+        claimed = claim == {"workload": args.workload, "metric": name}
+        row["verdict"] = verdict(metric, row, claimed)
+        print(f"{args.workload} {name}: parent {row['parent']['median']}, change "
+              f"{row['change']['median']}, {better}/{len(values['parent'])} pairs better: "
+              f"{row['verdict']}{' (claimed)' if claimed else ''}")
     correct = all(r["correct"] for runs in sides.values() for r in runs)
     entry = {
         "seeds": args.seeds,
@@ -166,10 +204,6 @@ def main() -> int:
         "metrics": metrics,
     }
 
-    document: dict = {}
-    if os.path.exists(args.out):
-        with open(args.out) as handle:
-            document = json.load(handle)
     document.update({
         "harness": f"python3 perfbench/run.py --workload W --seed S --seconds {spec['run_seconds']} "
                    "--trace 0, run in a git archive of the base and in a copy of the "
@@ -184,9 +218,6 @@ def main() -> int:
     })
     if args.change:
         document["change"] = args.change
-    if args.claim:
-        workload, _, metric = args.claim.partition(":")
-        document["claimed"] = {"workload": workload, "metric": metric}
     document.setdefault("workloads", {})[args.workload] = entry
     with open(args.out, "w") as handle:
         json.dump(document, handle, indent=1)

@@ -25,11 +25,14 @@ output early.
 
 Caching: pass ``--cache PATH`` to read/write a genus-zero table as JSON,
 or set ``DELPEZZO_CACHE_DIR`` to give every invocation a per-surface
-default cache file in that directory.  Caches are advisory: an unreadable
-cache file is ignored (with a warning) and rewritten, and cached runs
-produce byte-identical values to cold runs.  A well-formed cache written
-for a different surface is an error, never silently overwritten.  A cache
-that cannot be written is skipped with a warning.
+default cache file in that directory.  Every command hands its table to
+``save_cache``, which writes the file only when the run learned a count
+the file lacks or the file could not be read, so a run that learned
+nothing cannot undo a concurrent run's additions.  Caches are advisory:
+an unreadable cache file is ignored (with a warning) and rewritten, and
+cached runs produce byte-identical values to cold runs.  A well-formed
+cache written for a different surface is an error, never silently
+overwritten.  A cache that cannot be written is skipped with a warning.
 """
 
 from __future__ import annotations

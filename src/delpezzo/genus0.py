@@ -516,6 +516,9 @@ class GwTable:
     ) -> None:
         self.surface = surface
         self._engine = _Engine(surface)
+        # (absolute path, len(entries)) of the cache file the table was last
+        # loaded from or saved to, for save_cache to skip an unchanged table.
+        self._stored: tuple[str, int] | None = None
         key = self._engine.lattice.key
         self._engine.memo.update(
             (key(cls.coeffs), value) for cls, value in (entries or {}).items()
@@ -615,7 +618,18 @@ def support_enumerate(
 def save_cache(table: GwTable, path: str | Path) -> None:
     """Write the table atomically: the file at ``path`` is either the old one
     or the complete new one, never a torn mix, also under concurrent runs.
-    A file that already holds exactly these bytes is left untouched."""
+
+    A table loaded from or saved to ``path`` that has learned no count
+    since returns at once, without reading or writing the file: the memo
+    only grows and never changes a value, so an equal number of entries
+    means equal content, and a run that learned nothing cannot undo what a
+    concurrent run added to the file.  Otherwise a file that already holds
+    exactly these bytes is left untouched.  A failed write raises and
+    records nothing, so the next save tries again."""
+    where = os.path.abspath(path)
+    count = len(table.entries)
+    if table._stored == (where, count):
+        return
     rows = sorted(table.entries._counts())
     document = {
         "version": CACHE_VERSION,
@@ -628,6 +642,7 @@ def save_cache(table: GwTable, path: str | Path) -> None:
     target = Path(path)
     try:
         if target.read_bytes() == text.encode():
+            table._stored = (where, count)
             return
     except OSError:
         pass  # missing or unreadable: write it
@@ -640,6 +655,7 @@ def save_cache(table: GwTable, path: str | Path) -> None:
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+    table._stored = (where, count)
 
 
 def load_cache(path: str | Path) -> GwTable:
@@ -658,7 +674,8 @@ def load_cache(path: str | Path) -> GwTable:
     for key in ("version", "surface", "entries"):
         if key not in document:
             raise CacheFormatError(f"cache file {path} lacks the {key!r} field")
-    if document["version"] != CACHE_VERSION:
+    # type() also rules out true and 1.0, which compare equal to 1.
+    if type(document["version"]) is not int or document["version"] != CACHE_VERSION:
         raise CacheFormatError(
             f"cache file {path} has version {document['version']!r}, "
             f"expected {CACHE_VERSION}"
@@ -719,4 +736,5 @@ def load_cache(path: str | Path) -> GwTable:
                     f"cache file {path}: classes [{a}, {b}] and [{b}, {a}] have counts"
                     f" {value} and {memo[(b, a)]}, but swapping the rulings keeps a count"
                 )
+    table._stored = (os.path.abspath(path), len(memo))  # every row has the rank
     return table

@@ -26,7 +26,8 @@ __all__ = [
     "to_integer",
 ]
 
-_DIGITS = re.compile(r"[+-]?[0-9]+")
+# What to_decimal_string writes for an int, and nothing else.
+_CANONICAL = re.compile(r"-?[1-9][0-9]*|0")
 
 
 def binomial(n: int, k: int) -> int:
@@ -63,10 +64,18 @@ def to_decimal_string(value: int | Fraction) -> str:
 
 
 def from_decimal_string(text: str) -> int:
-    """``int(text)`` at any size."""
+    """The int that ``to_decimal_string`` writes as ``text``, at any size.
+
+    Only that form is read: an optional ``-`` and ASCII digits without a
+    leading zero.  ``int`` alone would also take a ``+``, surrounding
+    whitespace, underscores and non-ASCII digits; those raise ValueError.
+    """
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        if not _DIGITS.fullmatch(text):
+        if not _CANONICAL.fullmatch(text):
             raise
-        return int(Decimal(text))
+        return int(Decimal(text))  # past the interpreter's digit limit
+    if str(value) != text:
+        raise ValueError(f"not the canonical decimal string of {value}: {text!r}")
+    return value

@@ -436,6 +436,14 @@ def test_unchanged_cache_is_left_untouched(tmp_path, capsys):
     assert grown.st_mtime_ns != before.st_mtime_ns
     assert cache.read_bytes() != stored
     assert os.listdir(tmp_path) == [cache.name]
+    # So does a table whose bound the cache already covers.
+    os.utime(cache, ns=(1, 1))
+    warm = cache.stat()
+    assert run(capsys, "table", "genus0", "--surface", "blp2:k=2", "--max-anticanonical",
+               "3", "--cache", str(cache))[0] == 0
+    after = cache.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (warm.st_ino, warm.st_mtime_ns)
+    assert os.listdir(tmp_path) == [cache.name]
 
 
 def test_cached_and_uncached_values_agree(tmp_path, capsys):

@@ -736,6 +736,23 @@ def test_cache_wrong_rank_rejected(tmp_path):
             '{"version":1,"surface":"blp2:k=2\\n","entries":[]}',
             id="descriptor-with-newline",
         ),
+        pytest.param('{"version":true,"surface":"blp2:k=0","entries":[]}', id="version-true"),
+        pytest.param('{"version":1.0,"surface":"blp2:k=0","entries":[]}', id="version-float"),
+        *(
+            pytest.param(
+                '{"version":1,"surface":"blp2:k=2","entries":[{"class":[3,1,1],"n0":"%s"}]}'
+                % count,
+                id=f"count-{name}",
+            )
+            for name, count in [
+                ("leading-space", " 12"),
+                ("trailing-newline", "12\\n"),
+                ("plus-sign", "+12"),
+                ("leading-zero", "012"),
+                ("underscore", "1_2"),
+                ("arabic-indic-digits", "\\u0661\\u0662"),
+            ]
+        ),
     ],
 )
 def test_cache_corrupt_files_rejected(tmp_path, payload):
@@ -870,8 +887,10 @@ def test_save_cache_failed_write_keeps_old_file(tmp_path, monkeypatch):
 
 def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     table, path, before = _saved_table(tmp_path)
+    attempts = []
 
     def failing_replace(src, dst):
+        attempts.append(dst)
         raise OSError(1, "Operation not permitted")
 
     monkeypatch.setattr("delpezzo.genus0.os.replace", failing_replace)
@@ -879,10 +898,68 @@ def test_save_cache_failed_replace_keeps_old_file(tmp_path, monkeypatch):
         save_cache(table, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [path.name]
+    # A failed write records nothing: the next save tries again.
+    with pytest.raises(OSError):
+        save_cache(table, path)
+    assert attempts == [path, path]
     monkeypatch.undo()
     save_cache(table, path)
     assert path.read_bytes() != before
     assert load_cache(path) == table
+    # Once written, the same table is not written again.
+    os.utime(path, ns=(1, 1))
+    save_cache(table, path)
+    assert path.stat().st_mtime_ns == 1
+
+
+def test_a_save_that_learned_nothing_keeps_a_concurrent_runs_counts(tmp_path):
+    surface = Surface.blowup(2)
+    seed = GwTable(surface=surface)
+    n0(surface, CurveClass((3, 1, 1)), seed)
+    path = tmp_path / "k2.json"
+    save_cache(seed, path)
+    first, second = load_cache(path), load_cache(path)
+    n0(surface, CurveClass((5, 2, 2)), first)
+    save_cache(first, path)
+    grown = path.read_bytes()
+    assert len(json.loads(grown)["entries"]) == 21
+    assert n0(surface, CurveClass((3, 1, 1)), second) == 12  # a memo hit
+    save_cache(second, path)
+    assert path.read_bytes() == grown
+    # A count the file lacks is written, and replaces the file as before.
+    n0(surface, CurveClass((4, 2, 1)), second)
+    save_cache(second, path)
+    assert load_cache(path) == second
+
+
+def test_save_cache_skips_only_the_file_a_table_came_from(tmp_path, monkeypatch):
+    surface = Surface.blowup(3)
+    source = GwTable(surface=surface)
+    support_enumerate(surface, 7, source)
+    path = tmp_path / "permuted.json"
+    permuted_cache(source, path)
+    stored = path.read_bytes()
+    table = load_cache(str(path))
+    monkeypatch.chdir(tmp_path)
+    save_cache(table, path.name)  # the same file by a relative name
+    assert path.read_bytes() == stored
+    # Another path, a table built from entries and a fresh table all write.
+    other = tmp_path / "other.json"
+    save_cache(table, other)
+    assert load_cache(other) == table
+    copy = GwTable(surface=surface, entries=table.entries)
+    save_cache(copy, path)
+    assert path.read_bytes() == other.read_bytes()
+    path.write_bytes(stored)
+    save_cache(GwTable(surface=surface), path)
+    assert json.loads(path.read_text())["entries"] == []
+    # A table that learns a count rewrites a permuted file as representatives.
+    path.write_bytes(stored)
+    table = load_cache(path)
+    n0(surface, CurveClass((8, 3, 3, 3)), table)
+    save_cache(table, path)
+    assert load_cache(path) == table
+    assert len(json.loads(path.read_text())["entries"]) == len(table.entries)
 
 
 def test_concurrent_saves_leave_a_whole_file(tmp_path):

@@ -78,6 +78,10 @@ def test_decimal_strings_agree_with_str_and_int():
         assert to_decimal_string(value) == str(value)
         assert from_decimal_string(str(value)) == value
     assert to_decimal_string(Fraction(-3, 2)) == "-3/2"
-    for bad in ("twelve", "1.5", "1e5", "", "9" * 5000 + "x", "NaN"):
+    # int() or, past the digit limit, Decimal reads the strings after the
+    # first row, but to_decimal_string writes none of them.
+    for bad in ("twelve", "1.5", "1e5", "", "9" * 5000 + "x", "NaN",
+                " 12", "12\n", "+12", "012", "1_2", "\u0661\u0662", "-0", "00",
+                "+" + "9" * 5000, "0" + "9" * 5000, "9" * 5000 + " "):
         with pytest.raises(ValueError):
             from_decimal_string(bad)
