@@ -28,8 +28,15 @@ end-to-end metric each side's median, quartiles
 (``statistics.quantiles(n=4, method="inclusive")``) and runs, plus the
 number of pairs in which the change is strictly better in the direction
 ``BENCHMARK.json`` gives, and a ``verdict`` (see ``verdict``), which is
-also printed.  An existing ``--out`` file keeps its other workloads and its
-claim, so each workload can be run by its own invocation.  Exit status 1
+also printed.  Beside ``setup_s`` each side also gets the medians of
+``raw_setup_s`` (the unscaled start-up) and ``calibration_chunk_ms`` (the
+median probe time of a run) from run.py's details line (see
+``startup_details``), also printed: ``setup_s`` is the start-up divided
+by the worker's first calibration probe, so a change of that probe alone,
+such as a garbage collection falling inside it or not, moves ``setup_s``
+while ``raw_setup_s`` stays.  An existing ``--out`` file keeps its other
+workloads and its claim, so each workload can be run by its own
+invocation.  Exit status 1
 when a run fails or reports ``correct`` false.
 """
 
@@ -47,6 +54,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 NAMES = ("base", "work")
+# The fields of run.py's details line recorded beside setup_s.
+STARTUP = ("raw_setup_s", "calibration_chunk_ms")
 
 
 def schedule(seed: int) -> list[tuple[str, str]]:
@@ -94,16 +103,24 @@ def copy_working_tree(checkout: str) -> None:
             shutil.copy2(source, target)
 
 
+def startup_details(lines: list[str]) -> dict[str, float]:
+    """The ``STARTUP`` fields of run.py's details line, the line before its
+    result line, from the lines of its standard output."""
+    details = json.loads(lines[-2])
+    return {name: details[name] for name in STARTUP}
+
+
 def run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     # run.py exits 1 with a result line when an output was wrong.
-    if done.returncode not in (0, 1) or not lines or not lines[-1].startswith("{"):
+    if done.returncode not in (0, 1) or len(lines) < 2 or not lines[-1].startswith("{"):
         raise SystemExit(f"bench_pair.py: {workload} seed {seed} in {checkout} exited "
                          f"{done.returncode}: {done.stderr.strip()[-2000:]}")
     result = json.loads(lines[-1])
+    result["startup"] = startup_details(lines)
     print(f"{workload} seed {seed} {checkout}: {lines[-1]}", flush=True)
     return result
 
@@ -195,6 +212,13 @@ def main() -> int:
         print(f"{args.workload} {name}: parent {row['parent']['median']}, change "
               f"{row['change']['median']}, {better}/{len(values['parent'])} pairs better: "
               f"{row['verdict']}{' (claimed)' if claimed else ''}")
+    setup = metrics["setup_s"]
+    for side, runs in sides.items():
+        setup[side].update({name: round(statistics.median(r["startup"][name] for r in runs), 5)
+                            for name in STARTUP})
+    print(f"{args.workload} setup_s details: " + "; ".join(
+        f"{side} " + ", ".join(f"{name} {setup[side][name]}" for name in STARTUP)
+        for side in sides))
     correct = all(r["correct"] for runs in sides.values() for r in runs)
     entry = {
         "seeds": args.seeds,

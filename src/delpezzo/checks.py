@@ -259,14 +259,14 @@ def _check_sweep(scope: str) -> list[CheckResult]:
             deg = surface.anticanonical_degree(beta)
             moments = _record(surface, beta, deg, n0(surface, beta, table), *_sums(walk))
             n2j = moments.n2j(2)
-            # The correction total reads the cusp and two-component counts,
+            # The correction totals read the cusp and two-component counts,
             # so their exact divisions are checked here as well.
-            cr_proof = moments.cr("proof").total
+            taut, _, _, _, cr_proof = moments.corrections()
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")
             continue
         balanced += 1
-        if moments.rt2() != cr_proof + 2 * n2j - 4 * moments.taut:
+        if moments.rt2() != cr_proof + 2 * n2j - 4 * taut:
             unbalanced.append(f"{surface.descriptor}:{beta}")
     return [
         _verdict(

@@ -117,6 +117,7 @@ from typing import Callable
 
 from .errors import (
     CacheFormatError,
+    DelPezzoError,
     InvalidClass,
     RecursionFailure,
     SurfaceMismatch,
@@ -615,6 +616,18 @@ def support_enumerate(
 # save -> load -> save reproduces the file byte for byte.
 
 
+def _cache_text(surface: Surface, rows: Mapping[Coeffs, int]) -> str:
+    """The cache file of ``surface`` holding ``rows``, one per orbit key."""
+    document = {
+        "version": CACHE_VERSION,
+        "surface": surface.descriptor,
+        "entries": [
+            {"class": list(c), "n0": to_decimal_string(value)} for c, value in sorted(rows.items())
+        ],
+    }
+    return json.dumps(document, separators=(",", ":")) + "\n"
+
+
 def save_cache(table: GwTable, path: str | Path) -> None:
     """Write the table atomically: the file at ``path`` is either the old one
     or the complete new one, never a torn mix, also under concurrent runs.
@@ -624,28 +637,44 @@ def save_cache(table: GwTable, path: str | Path) -> None:
     only grows and never changes a value, so an equal number of entries
     means equal content, and a run that learned nothing cannot undo what a
     concurrent run added to the file.  Otherwise a file that already holds
-    exactly these bytes is left untouched.  A failed write raises and
-    records nothing, so the next save tries again."""
+    exactly these bytes is left untouched.  A save that writes keeps what
+    a concurrent run added: the rows of the file it replaces that the
+    table lacks go into the new file too, provided that file passes
+    ``load_cache``'s checks, belongs to the table's surface, and agrees
+    with every count the table holds, zeros included, and with it on
+    every quadric swap partner.  An unreadable, mismatched or conflicting
+    file is overwritten from the table alone.  The table itself is not
+    changed.  A failed write raises and records nothing, so the next save
+    tries again."""
     where = os.path.abspath(path)
     count = len(table.entries)
     if table._stored == (where, count):
         return
-    rows = sorted(table.entries._counts())
-    document = {
-        "version": CACHE_VERSION,
-        "surface": table.surface.descriptor,
-        "entries": [
-            {"class": list(c), "n0": to_decimal_string(value)} for c, value in rows
-        ],
-    }
-    text = json.dumps(document, separators=(",", ":")) + "\n"
+    rows = dict(table.entries._counts())
+    text = _cache_text(table.surface, rows)
     target = Path(path)
     try:
-        if target.read_bytes() == text.encode():
-            table._stored = (where, count)
-            return
+        found = target.read_bytes()
     except OSError:
-        pass  # missing or unreadable: write it
+        found = None  # missing or unreadable: write it
+    if found is not None and found != text.encode():
+        try:
+            theirs = _parse_cache(found.decode(), path)
+        except (DelPezzoError, UnicodeDecodeError):
+            theirs = None
+        if theirs is not None and theirs.surface == table.surface:
+            memo = table._engine.memo
+            union = dict(theirs.entries._counts())
+            if all(memo.get(c, v) == v for c, v in union.items()):
+                union.update(rows)
+                # On the quadric a row stands for its swap partner too.
+                if table.surface.is_blowup or all(
+                    union.get(c[::-1], v) == v for c, v in union.items()
+                ):
+                    text = _cache_text(table.surface, union)
+    if found == text.encode():
+        table._stored = (where, count)
+        return
     # One writer per process and thread at a time, so the name is its own.
     writer = f"{os.getpid()}.{threading.get_ident()}"
     partial = target.with_name(f".{target.name}.{writer}.tmp")
@@ -663,6 +692,14 @@ def load_cache(path: str | Path) -> GwTable:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheFormatError(f"cache file {path} cannot be read: {exc}") from exc
+    table = _parse_cache(text, path)
+    table._stored = (os.path.abspath(path), len(table._engine.memo))  # every row has the rank
+    return table
+
+
+def _parse_cache(text: str, path: str | Path) -> GwTable:
+    """The table a cache file's ``text`` holds, after every check of
+    :func:`load_cache`; ``path`` names the file in the errors."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -736,5 +773,4 @@ def load_cache(path: str | Path) -> GwTable:
                     f"cache file {path}: classes [{a}, {b}] and [{b}, {a}] have counts"
                     f" {value} and {memo[(b, a)]}, but swapping the rulings keeps a count"
                 )
-    table._stored = (os.path.abspath(path), len(memo))  # every row has the rank
     return table

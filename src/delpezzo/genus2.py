@@ -49,6 +49,14 @@ intersection points, the tautological intersection number on the universal
 curve over the space of rational curves, and the correction components
 (one per boundary stratum type) that tie them together.
 
+Cleared of denominators, ``cusp``, ``two_comp`` and ``n2j`` are each one
+integer ``divmod``, and a call evaluates each quantity once:
+``genus2_report`` and ``reconcile`` read ``taut``, ``cusp`` and
+``two_comp`` once and form both correction totals from them, and the
+moments validate the class once, by ``Surface.anticanonical_degree``,
+before reading ``beta^2`` off its coefficients.  The error naming the
+class and the rational is built only when a division leaves a remainder.
+
 ``reconcile`` reports ``residual = rt2 - cr - aut n2j`` without asserting
 that it vanishes.  In the moment basis ``S0`` and ``S2`` cancel, which
 leaves ``residual_proof = -4 taut`` and ``residual_lemma = -4 taut +
@@ -64,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InvalidClass, NegativeCount
+from .errors import InvalidClass, NegativeCount, NonIntegralResult
 from .genus0 import GwTable, _engine, n0, orbit_pairs
 from .numerics import binomial, to_decimal_string, to_integer
 from .orbits import Coeffs
@@ -117,9 +125,11 @@ def _pair_terms(
 @dataclass(frozen=True)
 class _Moments:
     """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
-    the formulas of the module docstring read; one member per quantity.
+    the formulas of the module docstring read; one member per quantity,
+    each evaluated anew on every access, so a caller reads each one once.
     Cleared of denominators, each quantity is one integer numerator over
-    one denominator, so an integral one is a single exact division:
+    one denominator, so an integral one is a single ``divmod``, and the
+    error naming ``beta`` is formatted only when it leaves a remainder:
 
         taut      = (2 x1^2 n0 - S1) / (2 deg)
         cusp      = (2 (x2 deg - x1^2) n0 + S1 - 2 deg S0) / (2 deg)
@@ -150,31 +160,44 @@ class _Moments:
     def cusp(self) -> int:
         deg = self.deg
         numerator = 2 * (self.x2 * deg - self.x1sq) * self.n0 + self.s1 - 2 * deg * self.s0
-        value = to_integer(Fraction(numerator, 2 * deg), context=f"cusp count of {self.beta}")
+        value, remainder = divmod(numerator, 2 * deg)
+        if remainder:
+            raise NonIntegralResult(
+                f"expected integer in cusp count of {self.beta}, got {Fraction(numerator, 2 * deg)}"
+            )
         if value < 0:
             raise NegativeCount(f"cusp count of {self.beta} came out {value}")
         return value
 
     @property
     def two_comp(self) -> int:
-        return to_integer(Fraction(self.s0, 2), context=f"two-component count of {self.beta}")
-
-    def n11(self, variant: str) -> Fraction:
-        if variant == "lemma":
-            return 2 * self.taut
-        if variant == "proof":
-            # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
-            # the evaluation term against the diagonal cycle vanishes identically.
-            return 2 * self.taut + (2 * self.x1sq - 2 * self.x2) * self.n0
-        raise InvalidClass(f"unknown correction variant {variant!r}")
+        value, remainder = divmod(self.s0, 2)
+        if remainder:
+            raise NonIntegralResult(
+                f"expected integer in two-component count of {self.beta}, got {Fraction(self.s0, 2)}"
+            )
+        return value
 
     def cr(self, variant: str) -> CrComponents:
-        return CrComponents(
-            n11=self.n11(variant),
-            n21x2=4 * self.cusp,
-            n31x18=18 * self.cusp,
-            n12=4 * self.two_comp,
-        )
+        if variant == "lemma":
+            n11 = 2 * self.taut
+        elif variant == "proof":
+            # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
+            # the evaluation term against the diagonal cycle vanishes identically.
+            n11 = 2 * self.taut + (2 * self.x1sq - 2 * self.x2) * self.n0
+        else:
+            raise InvalidClass(f"unknown correction variant {variant!r}")
+        cusp = self.cusp
+        return CrComponents(n11=n11, n21x2=4 * cusp, n31x18=18 * cusp, n12=4 * self.two_comp)
+
+    def corrections(self) -> tuple[Fraction, int, int, Fraction, Fraction]:
+        """``taut``, ``cusp``, ``two_comp`` and the correction totals
+        ``cr_lemma`` and ``cr_proof``, each quantity evaluated once: the
+        totals of :meth:`cr` are ``n11 + 22 cusp + 4 two_comp``, and the two
+        forms of ``n11`` differ by ``(2 x1^2 - 2 x2) n0``."""
+        taut, cusp, two_comp = self.taut, self.cusp, self.two_comp
+        lemma = 2 * taut + (22 * cusp + 4 * two_comp)
+        return taut, cusp, two_comp, lemma, lemma + (2 * self.x1sq - 2 * self.x2) * self.n0
 
     def n2j(self, aut_order: int) -> int:
         deg, x1sq = self.deg, self.x1sq
@@ -182,8 +205,13 @@ class _Moments:
             2 * deg * ((2 + self.b2) * self.sq - 10 * self.x2 - x1sq) * self.n0
             + 24 * x1sq * self.n0 - 12 * self.s1 + deg * self.s2 + 20 * deg * self.s0
         )
-        value = Fraction(numerator, aut_order * deg)
-        return to_integer(value, context=f"genus-two count of {self.beta}")
+        value, remainder = divmod(numerator, aut_order * deg)
+        if remainder:
+            raise NonIntegralResult(
+                f"expected integer in genus-two count of {self.beta},"
+                f" got {Fraction(numerator, aut_order * deg)}"
+            )
+        return value
 
 
 def _sums(terms) -> tuple[int, int, int]:
@@ -199,9 +227,12 @@ def _sums(terms) -> tuple[int, int, int]:
 def _record(
     surface: Surface, beta: CurveClass, deg: int, count: int, s0: int, s1: int, s2: int
 ) -> _Moments:
-    """The :class:`_Moments` of ``beta``, of anticanonical degree ``deg``."""
+    """The :class:`_Moments` of ``beta``, of anticanonical degree ``deg``:
+    the caller has validated ``beta`` (``Surface.anticanonical_degree``),
+    so ``beta^2`` is the unchecked pairing."""
+    c = beta.coeffs
     return _Moments(
-        beta, deg, surface.self_intersection(beta), surface.k_squared, surface.euler_number,
+        beta, deg, surface._dot(c, c), surface.k_squared, surface.euler_number,
         surface.rank, count, s0, s1, s2,
     )
 
@@ -401,14 +432,12 @@ def applicability_warnings(
         d = beta.coeffs[0]
         if d <= 2:
             warnings.append(f"hypothesis d > 2 fails: d = {d}")
-        residual = CurveClass((d - 3,) + beta.coeffs[1:])
-        if d - 3 <= 0 or residual.is_zero:
-            leftover = 0
-        else:
-            leftover = n0(surface, residual, table)
-        if leftover <= 0:
+        # beta - 3L, of the surface's rank and nonzero when d > 3.
+        residual = (d - 3,) + beta.coeffs[1:]
+        if d <= 3 or _engine(surface, table).value(residual) <= 0:
             warnings.append(
-                f"hypothesis n0(beta - 3L) > 0 fails for residual class {residual}"
+                "hypothesis n0(beta - 3L) > 0 fails for residual class "
+                f"{CurveClass(residual)}"
             )
     else:
         a, b = beta.coeffs
@@ -479,18 +508,21 @@ def genus2_report(
     if table is None:
         table = GwTable(surface)
     moments = _moments(surface, beta, table)
+    deg = moments.deg
+    taut, cusp, two_comp, cr_lemma, cr_proof = moments.corrections()
     return Genus2Report(
         surface=surface,
         beta=beta,
         n0=moments.n0,
-        delta=moments.deg - 1,
-        genus=surface.genus(beta),
+        delta=deg - 1,
+        # Exact: beta^2 and x1.beta have the same parity (x1 is characteristic).
+        genus=(moments.sq - deg) // 2 + 1,
         rt2=moments.rt2(),
-        taut=moments.taut,
-        cusp=moments.cusp,
-        two_comp=moments.two_comp,
-        cr_lemma=moments.cr("lemma").total,
-        cr_proof=moments.cr("proof").total,
+        taut=taut,
+        cusp=cusp,
+        two_comp=two_comp,
+        cr_lemma=cr_lemma,
+        cr_proof=cr_proof,
         n2j=moments.n2j(aut_order),
         aut_order=aut_order,
         warnings=tuple(applicability_warnings(surface, beta, table)),
@@ -539,8 +571,7 @@ def reconcile(
     _check_aut_order(aut_order)
     moments = _moments(surface, beta, table)
     rt = moments.rt2()
-    lemma = moments.cr("lemma").total
-    proof = moments.cr("proof").total
+    _, _, _, lemma, proof = moments.corrections()
     scaled = aut_order * moments.n2j(aut_order)
     return ReconcileReport(
         surface=surface,

@@ -32,8 +32,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable
 
-from .errors import InvalidClass, RankMismatch, RankOverflow
-from .numerics import to_integer
+from .errors import InvalidClass, NonIntegralResult, RankMismatch, RankOverflow
 
 __all__ = ["Surface", "CurveClass", "MAX_BLOWUPS", "quadric_to_blowup_class"]
 
@@ -194,7 +193,8 @@ class Surface:
 
     def anticanonical_degree(self, beta: CurveClass) -> int:
         self.check_class(beta)
-        return self.intersect(self.anticanonical, beta)
+        x1 = (3,) + (1,) * self.k if self.is_blowup else (2, 2)  # anticanonical.coeffs
+        return self._dot(x1, beta.coeffs)
 
     def delta(self, beta: CurveClass) -> int:
         """Anticanonical degree minus one."""
@@ -202,9 +202,15 @@ class Surface:
 
     def genus(self, beta: CurveClass) -> int:
         """Arithmetic genus ``(beta^2 - x1.beta + 2) / 2`` of a smooth member."""
-        self.check_class(beta)
-        numerator = self.self_intersection(beta) - self.anticanonical_degree(beta) + 2
-        return to_integer(Fraction(numerator, 2), context=f"genus of {beta}")
+        deg = self.anticanonical_degree(beta)
+        c = beta.coeffs
+        numerator = self._dot(c, c) - deg + 2
+        genus, remainder = divmod(numerator, 2)
+        if remainder:
+            raise NonIntegralResult(
+                f"expected integer in genus of {beta}, got {Fraction(numerator, 2)}"
+            )
+        return genus
 
 
 def quadric_to_blowup_class(beta: CurveClass) -> CurveClass:

@@ -2,6 +2,7 @@
 the checkout's directory name may favour a side."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,13 @@ def test_worse_past_the_bound_in_the_metrics_direction():
     assert bench_pair.verdict(ROWS, entry(ROWS, PARENT, fewer), claimed=False) == "worse"
     more = [p * 1.25 for p in PARENT]
     assert bench_pair.verdict(ROWS, entry(ROWS, PARENT, more), claimed=True) == "met"
+
+
+def test_startup_details_read_the_line_before_the_result():
+    details = {"workload": "g2-sweep", "raw_setup_s": 0.1123, "calibration_chunk_ms": 2.071,
+               "setup_samples": 3}
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {}}
+    lines = ["a progress line", json.dumps(details), json.dumps(result)]
+    assert bench_pair.startup_details(lines) == {
+        "raw_setup_s": 0.1123, "calibration_chunk_ms": 2.071,
+    }

@@ -166,6 +166,35 @@ def test_degree_one_class_with_many_nodes():
     assert n0(surface, beta) == 12
 
 
+# The (-1)-curves of the plane blown up at k general points, classical
+# (the root-system counts of del Pezzo surfaces), not from any recursion.
+EXCEPTIONAL_CLASSES = {1: 1, 2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
+
+
+@pytest.mark.parametrize("k", sorted(EXCEPTIONAL_CLASSES))
+def test_degree_one_holds_the_exceptional_classes(k):
+    # Anticanonical degree 1 holds the exceptional classes, each a single
+    # curve, and on eight points also -K, with its twelve nodal cubics.
+    surface = Surface.blowup(k)
+    rows = support_enumerate(surface, 1)
+    exceptional = [(beta, count) for beta, count in rows if surface.self_intersection(beta) == -1]
+    assert len(exceptional) == EXCEPTIONAL_CLASSES[k]
+    assert {count for _, count in exceptional} == {1}
+    others = [row for row in rows if row not in exceptional]
+    assert others == ([(surface.anticanonical, 12)] if k == 8 else [])
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [Surface.blowup(k) for k in range(9)] + [QUADRIC],
+    ids=[f"k={k}" for k in range(9)] + ["quadric"],
+)
+def test_the_anticanonical_class_has_twelve_rational_curves(surface):
+    # Rational curves in |-K| through the K^2 - 1 points: the twelve nodal
+    # members of a pencil of elliptic curves, (2, 2) on the quadric.
+    assert n0(surface, surface.anticanonical) == 12
+
+
 def test_zero_class_rejected():
     with pytest.raises(InvalidClass):
         n0(PLANE, CurveClass((0,)))
@@ -926,10 +955,92 @@ def test_a_save_that_learned_nothing_keeps_a_concurrent_runs_counts(tmp_path):
     assert n0(surface, CurveClass((3, 1, 1)), second) == 12  # a memo hit
     save_cache(second, path)
     assert path.read_bytes() == grown
-    # A count the file lacks is written, and replaces the file as before.
+    # A count the file lacks is written, next to the first run's counts.
     n0(surface, CurveClass((4, 2, 1)), second)
     save_cache(second, path)
-    assert load_cache(path) == second
+    assert dict(load_cache(path).entries) == {**first.entries, **second.entries}
+
+
+def test_two_runs_that_learn_counts_keep_both(tmp_path):
+    surface = Surface.blowup(2)
+    seed = GwTable(surface=surface)
+    n0(surface, CurveClass((3, 1, 1)), seed)
+    path = tmp_path / "k2.json"
+    save_cache(seed, path)
+    seeded = path.read_bytes()
+    first, second = load_cache(path), load_cache(path)
+    n0(surface, CurveClass((5, 2, 2)), first)
+    for coeffs in ((4, 2, 1), (5, 1, 1)):  # the first run lacks 5,1,1
+        n0(surface, CurveClass(coeffs), second)
+    learned = dict(second.entries)
+    save_cache(first, path)
+    save_cache(second, path)
+    merged = load_cache(path)  # the merged rows pass every check of a load
+    assert dict(merged.entries) == {**first.entries, **second.entries}
+    assert len(merged.entries) == len(first.entries) + 1 == 22
+    # The file's rows go into the written file, not into the saving table.
+    assert dict(second.entries) == learned
+    # Saving in the other order writes the same bytes.
+    union = path.read_bytes()
+    path.write_bytes(seeded)
+    first, second = load_cache(path), load_cache(path)
+    n0(surface, CurveClass((5, 2, 2)), first)
+    for coeffs in ((4, 2, 1), (5, 1, 1)):
+        n0(surface, CurveClass(coeffs), second)
+    save_cache(second, path)
+    save_cache(first, path)
+    assert path.read_bytes() == union
+
+
+def _k2_file(rows: str) -> str:
+    return '{"version":1,"surface":"blp2:k=2","entries":[' + rows + "]}"
+
+
+@pytest.mark.parametrize(
+    "found",
+    [
+        _k2_file('{"class":[3,1,1],"n0":"13"},{"class":[6,3,3],"n0":"5"}'),  # a count differs
+        _k2_file('{"class":[3,3,0],"n0":"7"},{"class":[6,3,3],"n0":"5"}'),  # the table has 0
+        '{"version":1,"surface":"blp2:k=3","entries":[{"class":[6,3,3,1],"n0":"5"}]}',
+        '{"version":1,"surface":"blp2:k=2","entries":[{"class":[6,3,3],"n0":"05"}]}',
+        "not json",
+    ],
+    ids=["conflict", "zero-conflict", "other-surface", "unreadable-row", "unreadable"],
+)
+def test_a_file_that_cannot_be_merged_is_overwritten_from_the_table(tmp_path, found):
+    surface = Surface.blowup(2)
+    table = GwTable(surface=surface)
+    assert [n0(surface, CurveClass(c), table) for c in ((3, 1, 1), (3, 3, 0))] == [12, 0]
+    alone = tmp_path / "alone.json"
+    save_cache(table, alone)
+    path = tmp_path / "k2.json"
+    path.write_text(found)
+    save_cache(table, path)
+    assert path.read_bytes() == alone.read_bytes()
+
+
+def test_a_quadric_merge_keeps_swap_partners_in_agreement(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[2,3],"n0":"96"}]}')
+    table = load_cache(path)
+    n0(QUADRIC, CurveClass((1, 1)), table)
+    # A concurrent run's rows merge when every swap partner agrees ...
+    path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[3,2],"n0":"96"},'
+                    '{"class":[1,4],"n0":"1"},{"class":[4,1],"n0":"1"}]}')
+    save_cache(table, path)
+    merged = load_cache(path)
+    assert CurveClass((3, 2)) not in table.entries
+    assert dict(merged.entries) == {
+        **table.entries, CurveClass((3, 2)): 96, CurveClass((1, 4)): 1, CurveClass((4, 1)): 1,
+    }
+    # ... and a file whose row disagrees with a partner the table holds is
+    # overwritten from the table alone.
+    n0(QUADRIC, CurveClass((2, 2)), table)
+    alone = tmp_path / "alone.json"
+    save_cache(table, alone)
+    path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[3,2],"n0":"95"}]}')
+    save_cache(table, path)
+    assert path.read_bytes() == alone.read_bytes()
 
 
 def test_save_cache_skips_only_the_file_a_table_came_from(tmp_path, monkeypatch):
@@ -950,9 +1061,10 @@ def test_save_cache_skips_only_the_file_a_table_came_from(tmp_path, monkeypatch)
     copy = GwTable(surface=surface, entries=table.entries)
     save_cache(copy, path)
     assert path.read_bytes() == other.read_bytes()
+    # A fresh table writes too, keeping the file's rows as representatives.
     path.write_bytes(stored)
     save_cache(GwTable(surface=surface), path)
-    assert json.loads(path.read_text())["entries"] == []
+    assert path.read_bytes() == other.read_bytes()
     # A table that learns a count rewrites a permuted file as representatives.
     path.write_bytes(stored)
     table = load_cache(path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,89 @@ def test_quantity_types_on_a_hand_built_record():
     values = (moments.n2j(2), moments.cusp, moments.two_comp)
     assert [type(value) for value in values] == [int, int, int]
     assert values == (2, 1, 1)
+
+
+def test_a_warm_report_formats_no_class_and_checks_it_a_pinned_number_of_times(monkeypatch):
+    # Every exact division formats its error naming the class only when it
+    # fails, and the class is validated once per quantity (twice per
+    # report: once more by the applicability warnings).  These classes
+    # raise no warning, whose text would name the residual class.
+    calls = []
+    real_str, real_check = CurveClass.__str__, Surface.check_class
+
+    def counting_str(self):
+        calls.append("str")
+        return real_str(self)
+
+    def counting_check(self, *args, **kwargs):
+        calls.append("check_class")
+        return real_check(self, *args, **kwargs)
+
+    for surface, coeffs in ((PLANE, (4,)), (Surface.blowup(2), (5, 1, 1)), (QUADRIC, (3, 3))):
+        beta = CurveClass(coeffs)
+        table = GwTable(surface=surface)
+        assert genus2_report(surface, beta, table).warnings == ()
+        monkeypatch.setattr(CurveClass, "__str__", counting_str)
+        monkeypatch.setattr(Surface, "check_class", counting_check)
+        for quantity, checks in ((genus2_report, 2), (reconcile, 1), (n2j_main, 1)):
+            for aut_order in (2, 4):
+                calls.clear()
+                quantity(surface, beta, table, aut_order=aut_order)
+                assert calls == ["check_class"] * checks, (quantity.__name__, coeffs)
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# Outputs frozen from the implementation before each quantity became one
+# exact division per call: the reports, their JSON and the correction
+# components, with every field's type (``repr`` tells ``3`` from
+# ``Fraction(3, 1)``).
+
+
+def _frozen_output_classes(surface, bound, table, members):
+    """The classes with ``delta >= 1`` up to ``bound``: every member of the
+    support, or (on eight points, where the members run to a million)
+    its orbit representatives, from the engine's levels."""
+    if members:
+        classes = [beta for beta, _ in support_enumerate(surface, bound, table)]
+    else:
+        engine = table._engine
+        engine.ensure(surface.rank, bound)
+        classes = sorted(
+            (CurveClass(c) for degree in range(1, bound + 1)
+             for bucket in engine.support[(surface.rank, degree)].values() for c in bucket),
+            key=lambda beta: beta.coeffs,
+        )
+    return [beta for beta in classes if surface.delta(beta) >= 1]
+
+
+FROZEN_OUTPUTS = [
+    ("blp2:k=0", 14, True, "f4daad21ec1e291478b12ecf4ebeade5627910a3c45792172406d145833e7490"),
+    ("blp2:k=3", 13, True, "2365d69420fb10c01ddedda18cf285ff73086c80ab1f4c317fa41b088ac57d29"),
+    ("blp2:k=5", 9, True, "9db7906fc97dd039136857dafced6cc7bfa1682e755c4f0367f157478884b7c0"),
+    ("blp2:k=8", 5, False, "44f2cc03e7420ae273271323a00c1c914eefe6af7a1ddea548295beae6ae4c35"),
+    ("p1xp1", 24, True, "89f76dcfbcce2d98ee157e37157f5ceabfd4e52b158c6f88e871e09082ad8a76"),
+]
+
+
+@pytest.mark.parametrize(
+    "descriptor, bound, members, digest", FROZEN_OUTPUTS, ids=[d for d, *_ in FROZEN_OUTPUTS]
+)
+def test_reports_match_the_frozen_outputs(descriptor, bound, members, digest):
+    surface = Surface.parse(descriptor)
+    table = GwTable(surface=surface)
+    sha = hashlib.sha256()
+    for beta in _frozen_output_classes(surface, bound, table, members):
+        for aut_order in (2, 4):
+            for report in (
+                genus2_report(surface, beta, table, aut_order),
+                reconcile(surface, beta, table, aut_order),
+            ):
+                sha.update(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+                sha.update(repr(report).encode())
+        for variant in ("lemma", "proof"):
+            sha.update(repr(cr_components(surface, beta, table, variant)).encode())
+    assert sha.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
