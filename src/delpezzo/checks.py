@@ -237,7 +237,9 @@ def _check_sweep(scope: str) -> list[CheckResult]:
     examined = balanced = 0
     for surface, beta, table in _sweep_classes(scope):
         examined += 1
-        key = orbit_key(beta.coeffs)  # beta itself on the quadric
+        # beta itself on the quadric, whose walk (orbit_pairs) is of the
+        # sorted bidegree: the labels below only name the parts.
+        key = orbit_key(beta.coeffs)
         try:
             walk = list(_pair_terms(surface, CurveClass(key), table))
             # Every splitting summand is a fixed combination of (t0, t1, t2)

@@ -31,8 +31,8 @@ quadric every bidegree with a, b >= 1 has delta >= 3, so it always
 applies.
 
 On the quadric the counts are invariant under swapping the two rulings,
-n(a, b) = n(b, a), so a bidegree with a < b is sent to (b, a) and the
-relation runs only on a >= b.  The memo keeps both bidegrees.
+n(a, b) = n(b, a), so the swap is the quadric's orbit: the memo is keyed
+by the sorted bidegree (a >= b) and the relation runs only on a >= b.
 
 On blow-ups the counts are invariant under the Weyl group W(E_k), which
 the permutations of the points and the quadratic Cremona transformation
@@ -222,8 +222,8 @@ def _quadric_degree(c: Coeffs) -> int:
 
 
 def _sorted_bidegree(c: Coeffs) -> Coeffs:
-    """The quadric's standard form: the bidegree with ``a >= b``, which the
-    swap of the two rulings reaches."""
+    """The quadric's orbit key and standard form: the bidegree with
+    ``a >= b``, which the swap of the two rulings reaches."""
     a, b = c
     return c if a >= b else (b, a)
 
@@ -390,11 +390,9 @@ class _Engine:
         raise RecursionFailure(f"no reduction applies to {c}")
 
     def _reduce_quadric(self, c: Coeffs) -> int:
-        a, b = c
-        if a < 0 or b < 0:
+        a, b = c  # a >= b: the memo key
+        if b < 0:
             return 0
-        if a < b:
-            return self.value((b, a))
         if (a, b) == (1, 0):
             return 1
         if b == 0:
@@ -465,7 +463,7 @@ _BLOWUPS = _Lattice(
     two_point=(0, 0),
 )
 _QUADRIC = _Lattice(
-    key=tuple,
+    key=_sorted_bidegree,
     standard=_sorted_bidegree,
     degree=_quadric_degree,
     candidates=_quadric_candidates,
@@ -504,12 +502,15 @@ class GwTable:
 
     The table owns the engine that computes its counts.  ``entries`` is a
     read-only view of the nonzero counts of the surface's rank computed or
-    loaded so far; zero results are implicit.  On blow-ups the entries are
-    orbit representatives ``(d, m_1 >= ... >= m_k)``: a count is the same
-    for every permutation of the points, so one member stands for the
-    orbit, and the memo is seeded by orbit, so ``entries`` passed in that
-    list other members load as well.  Tables round-trip through the JSON
-    cache files.
+    loaded so far; zero results are implicit.  The entries are orbit
+    representatives on both lattices: ``(d, m_1 >= ... >= m_k)`` on
+    blow-ups, where a count is the same for every permutation of the
+    points, and the sorted bidegree ``(a >= b)`` on the quadric, where it is
+    the same for both orders.  One member stands for the orbit, and the
+    memo is seeded by orbit, so ``entries`` passed in that list other
+    members load as well.  Each entry passed in must be a class of the
+    surface with a positive int count, and the members of one orbit must
+    agree.  Tables round-trip through the JSON cache files.
     """
 
     def __init__(
@@ -520,10 +521,21 @@ class GwTable:
         # (absolute path, len(entries)) of the cache file the table was last
         # loaded from or saved to, for save_cache to skip an unchanged table.
         self._stored: tuple[str, int] | None = None
+        memo = self._engine.memo
         key = self._engine.lattice.key
-        self._engine.memo.update(
-            (key(cls.coeffs), value) for cls, value in (entries or {}).items()
-        )
+        for cls, value in (entries or {}).items():
+            # The memo is keyed by orbit and read by every reduction, so a
+            # row of another rank or a wrong count would answer for others.
+            surface.check_class(cls)
+            # type() also rules out True, which compares equal to 1.
+            if type(value) is not int or value <= 0:
+                raise InvalidClass(f"class {cls} has count {value!r}, not a positive int")
+            orbit = key(cls.coeffs)
+            if memo.setdefault(orbit, value) != value:
+                raise InvalidClass(
+                    f"class {cls} has count {value}, but an earlier entry for it"
+                    f" or a permutation of it has {memo[orbit]}"
+                )
 
     @property
     def entries(self) -> Mapping[CurveClass, int]:
@@ -566,7 +578,7 @@ def orbit_pairs(
     orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
     the ordered splittings of ``beta`` of a summand invariant under
     permuting the points is the weighted sum over these; on the quadric
-    the key is ``beta`` and every weight is 1.
+    the key is the sorted bidegree and every weight is 1.
     """
     surface.check_class(beta)
     engine = _engine(surface, table)
@@ -641,11 +653,10 @@ def save_cache(table: GwTable, path: str | Path) -> None:
     a concurrent run added: the rows of the file it replaces that the
     table lacks go into the new file too, provided that file passes
     ``load_cache``'s checks, belongs to the table's surface, and agrees
-    with every count the table holds, zeros included, and with it on
-    every quadric swap partner.  An unreadable, mismatched or conflicting
-    file is overwritten from the table alone.  The table itself is not
-    changed.  A failed write raises and records nothing, so the next save
-    tries again."""
+    with every count the table holds, zeros included.  An unreadable,
+    mismatched or conflicting file is overwritten from the table alone.
+    The table itself is not changed.  A failed write raises and records
+    nothing, so the next save tries again."""
     where = os.path.abspath(path)
     count = len(table.entries)
     if table._stored == (where, count):
@@ -667,11 +678,7 @@ def save_cache(table: GwTable, path: str | Path) -> None:
             union = dict(theirs.entries._counts())
             if all(memo.get(c, v) == v for c, v in union.items()):
                 union.update(rows)
-                # On the quadric a row stands for its swap partner too.
-                if table.surface.is_blowup or all(
-                    union.get(c[::-1], v) == v for c, v in union.items()
-                ):
-                    text = _cache_text(table.surface, union)
+                text = _cache_text(table.surface, union)
     if found == text.encode():
         table._stored = (where, count)
         return
@@ -756,21 +763,12 @@ def _parse_cache(text: str, path: str | Path) -> GwTable:
                 f"cache file {path}: class {vector} has count {value}, not positive"
             )
         orbit = orbit_of(tuple(vector))
-        # Counts are invariant under permuting the points, and the memo is
-        # keyed by orbit: the rows of one orbit, and the rows of a class
-        # listed twice, must agree.
+        # Counts are invariant under permuting the points and under swapping
+        # the rulings, and the memo is keyed by orbit: the rows of one
+        # orbit, and the rows of a class listed twice, must agree.
         if memo.setdefault(orbit, value) != value:
             raise CacheFormatError(
                 f"cache file {path}: class {vector} has count {value}, but"
                 f" an earlier row for it or a permutation of it has {memo[orbit]}"
             )
-    if not surface.is_blowup:
-        # The engine reads (b, a) for a < b, so a row stands for its swap
-        # partner too: save_cache writes both, and they must agree.
-        for (a, b), value in memo.items():
-            if a < b and memo.get((b, a), value) != value:
-                raise CacheFormatError(
-                    f"cache file {path}: classes [{a}, {b}] and [{b}, {a}] have counts"
-                    f" {value} and {memo[(b, a)]}, but swapping the rulings keeps a count"
-                )
     return table

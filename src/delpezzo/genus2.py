@@ -50,9 +50,9 @@ curve over the space of rational curves, and the correction components
 (one per boundary stratum type) that tie them together.
 
 Cleared of denominators, ``cusp``, ``two_comp`` and ``n2j`` are each one
-integer ``divmod``, and a call evaluates each quantity once:
-``genus2_report`` and ``reconcile`` read ``taut``, ``cusp`` and
-``two_comp`` once and form both correction totals from them, and the
+integer division (``numerics.exact_quotient``), and a call evaluates each
+quantity once: ``genus2_report`` and ``reconcile`` read ``taut``, ``cusp``
+and ``two_comp`` once and form both correction totals from them, and the
 moments validate the class once, by ``Surface.anticanonical_degree``,
 before reading ``beta^2`` off its coefficients.  The error naming the
 class and the rational is built only when a division leaves a remainder.
@@ -72,9 +72,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InvalidClass, NegativeCount, NonIntegralResult
+from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, _engine, n0, orbit_pairs
-from .numerics import binomial, to_decimal_string, to_integer
+from .numerics import binomial, exact_quotient, to_decimal_string, to_integer
 from .orbits import Coeffs
 from .surface import CurveClass, Surface
 
@@ -128,8 +128,9 @@ class _Moments:
     the formulas of the module docstring read; one member per quantity,
     each evaluated anew on every access, so a caller reads each one once.
     Cleared of denominators, each quantity is one integer numerator over
-    one denominator, so an integral one is a single ``divmod``, and the
-    error naming ``beta`` is formatted only when it leaves a remainder:
+    one denominator, so an integral one is a single
+    ``numerics.exact_quotient``, which formats the error naming ``beta``
+    only when the division leaves a remainder:
 
         taut      = (2 x1^2 n0 - S1) / (2 deg)
         cusp      = (2 (x2 deg - x1^2) n0 + S1 - 2 deg S0) / (2 deg)
@@ -160,23 +161,14 @@ class _Moments:
     def cusp(self) -> int:
         deg = self.deg
         numerator = 2 * (self.x2 * deg - self.x1sq) * self.n0 + self.s1 - 2 * deg * self.s0
-        value, remainder = divmod(numerator, 2 * deg)
-        if remainder:
-            raise NonIntegralResult(
-                f"expected integer in cusp count of {self.beta}, got {Fraction(numerator, 2 * deg)}"
-            )
+        value = exact_quotient(numerator, 2 * deg, "cusp count", self.beta)
         if value < 0:
             raise NegativeCount(f"cusp count of {self.beta} came out {value}")
         return value
 
     @property
     def two_comp(self) -> int:
-        value, remainder = divmod(self.s0, 2)
-        if remainder:
-            raise NonIntegralResult(
-                f"expected integer in two-component count of {self.beta}, got {Fraction(self.s0, 2)}"
-            )
-        return value
+        return exact_quotient(self.s0, 2, "two-component count", self.beta)
 
     def cr(self, variant: str) -> CrComponents:
         if variant == "lemma":
@@ -205,13 +197,7 @@ class _Moments:
             2 * deg * ((2 + self.b2) * self.sq - 10 * self.x2 - x1sq) * self.n0
             + 24 * x1sq * self.n0 - 12 * self.s1 + deg * self.s2 + 20 * deg * self.s0
         )
-        value, remainder = divmod(numerator, aut_order * deg)
-        if remainder:
-            raise NonIntegralResult(
-                f"expected integer in genus-two count of {self.beta},"
-                f" got {Fraction(numerator, aut_order * deg)}"
-            )
-        return value
+        return exact_quotient(numerator, aut_order * deg, "genus-two count", self.beta)
 
 
 def _sums(terms) -> tuple[int, int, int]:

@@ -4,7 +4,9 @@ All quantities in this package are integers or rationals
 (``fractions.Fraction``); floating point is never used.  ``binomial``
 follows the enumerative convention of vanishing outside the Pascal triangle,
 which lets splitting sums run over a rectangular index box without edge
-cases.  ``to_decimal_string`` and ``from_decimal_string`` are the one place
+cases.  ``exact_quotient`` is the one integer division that the theory
+promises exact; it builds its error only when a remainder is left.
+``to_decimal_string`` and ``from_decimal_string`` are the one place
 where a count becomes a decimal string or is read from one: past CPython's
 4300-digit limit on ``int`` <-> ``str`` (``n0(d L)`` from ``d = 572`` on)
 they convert through ``decimal``, exactly, without touching the limit.
@@ -21,6 +23,7 @@ from .errors import NonIntegralResult
 
 __all__ = [
     "binomial",
+    "exact_quotient",
     "from_decimal_string",
     "to_decimal_string",
     "to_integer",
@@ -35,6 +38,17 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def exact_quotient(numerator: int, denominator: int, what: str, beta: object) -> int:
+    """``numerator / denominator``, which must be an integer: the ``what`` of
+    the class ``beta``, named in the error when a remainder is left."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegralResult(
+            f"expected integer in {what} of {beta}, got {Fraction(numerator, denominator)}"
+        )
+    return quotient
 
 
 def to_integer(value: int | Fraction, context: str = "") -> int:

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Callable
 
-from .errors import InvalidClass, NonIntegralResult, RankMismatch, RankOverflow
+from .errors import InvalidClass, RankMismatch, RankOverflow
+from .numerics import exact_quotient
 
 __all__ = ["Surface", "CurveClass", "MAX_BLOWUPS", "quadric_to_blowup_class"]
 
@@ -204,13 +204,7 @@ class Surface:
         """Arithmetic genus ``(beta^2 - x1.beta + 2) / 2`` of a smooth member."""
         deg = self.anticanonical_degree(beta)
         c = beta.coeffs
-        numerator = self._dot(c, c) - deg + 2
-        genus, remainder = divmod(numerator, 2)
-        if remainder:
-            raise NonIntegralResult(
-                f"expected integer in genus of {beta}, got {Fraction(numerator, 2)}"
-            )
-        return genus
+        return exact_quotient(self._dot(c, c) - deg + 2, 2, "genus", beta)
 
 
 def quadric_to_blowup_class(beta: CurveClass) -> CurveClass:

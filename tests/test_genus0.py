@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from delpezzo.errors import (
     CacheFormatError,
     InvalidClass,
+    RankMismatch,
     RecursionFailure,
     SurfaceMismatch,
 )
@@ -80,6 +81,12 @@ PLANE_TABLE = [1, 1, 12, 620, 87304]  # d = 1..5, frozen from plane_reference
 
 PLANE = Surface.blowup(0)
 QUADRIC = Surface.quadric()
+
+# The quadric's cache to anticanonical degree 30 in the older layout, which
+# listed both orders of every bidegree (107 rows); and the sha256 of the same
+# table written today, one sorted bidegree per orbit of the swap (57 rows).
+TWO_ORDER_QUADRIC_FILE = Path(__file__).parent / "data" / "p1xp1-n30-two-orders.json"
+QUADRIC_N30_SHA256 = "43fb64427882f7434b762f2119d947e40a07b67fc324454a63e069e0e6bb3b42"
 
 
 def plane_class(d: int) -> CurveClass:
@@ -867,26 +874,85 @@ def test_quadric_cache_listing_a_class_twice_rejected(tmp_path):
     '{"class":[3,2],"n0":"96"},{"class":[2,3],"n0":"95"}',
 ])
 def test_quadric_cache_disagreeing_with_the_swap_rejected(tmp_path, rows):
-    # The engine answers (2, 3) with the entry of (3, 2), so a poisoned row
-    # would answer for its partner: the two rows must agree.
+    # The memo is keyed by the sorted bidegree, so (2, 3) and (3, 2) are one
+    # orbit and the generic orbit check rejects the later row.
     path = tmp_path / "q.json"
     path.write_text('{"version":1,"surface":"p1xp1","entries":[' + rows + ']}')
-    with pytest.raises(CacheFormatError, match=r"\[2, 3\] and \[3, 2\] have counts 95 and 96"):
+    with pytest.raises(CacheFormatError, match="permutation") as info:
         load_cache(path)
+    first, second = (row["n0"] for row in json.loads(f"[{rows}]"))
+    assert (f"has count {second}, but an earlier row for it or a permutation of it"
+            f" has {first}") in str(info.value)
 
 
 def test_quadric_cache_rows_agree_with_their_swap(tmp_path):
+    # One row per orbit of the ruling swap: the sorted bidegree a >= b.
     table = GwTable(surface=QUADRIC)
     support_enumerate(QUADRIC, 30, table)
     path = tmp_path / "q.json"
     save_cache(table, path)
     rows = {tuple(row["class"]): row["n0"] for row in json.loads(path.read_text())["entries"]}
-    assert len(rows) == 107
-    assert all(rows[(b, a)] == value for (a, b), value in rows.items())
+    assert len(rows) == 57
+    assert all(a >= b for a, b in rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == QUADRIC_N30_SHA256
     assert load_cache(path) == table
-    # A file listing one order only still loads.
+    # A file listing the unsorted order only loads and answers both orders.
     path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[2,3],"n0":"96"}]}')
-    assert n0(QUADRIC, CurveClass((3, 2)), load_cache(path)) == 96
+    loaded = load_cache(path)
+    assert dict(loaded.entries) == {CurveClass((3, 2)): 96}
+    assert [n0(QUADRIC, CurveClass(c), loaded) for c in ((3, 2), (2, 3))] == [96, 96]
+
+
+def test_a_two_order_quadric_file_loads_and_is_rewritten_sorted_when_a_save_learns(tmp_path):
+    path = tmp_path / "q.json"
+    stored = TWO_ORDER_QUADRIC_FILE.read_bytes()
+    path.write_bytes(stored)
+    rows = {tuple(row["class"]): int(row["n0"]) for row in json.loads(stored)["entries"]}
+    assert len(rows) == 107 and (2, 3) in rows and (3, 2) in rows
+    fresh = GwTable(surface=QUADRIC)
+    support_enumerate(QUADRIC, 30, fresh)
+    table = load_cache(path)
+    assert table == fresh
+    assert all(n0(QUADRIC, CurveClass(c), table) == value for c, value in rows.items())
+    # A save that learned nothing leaves the file as it was ...
+    save_cache(table, path)
+    assert path.read_bytes() == stored
+    # ... and the first save that learns a count writes sorted rows only.
+    n0(QUADRIC, CurveClass((2, 14)), table)
+    save_cache(table, path)
+    rewritten = [tuple(row["class"]) for row in json.loads(path.read_text())["entries"]]
+    assert all(a >= b for a, b in rewritten) and (14, 2) in rewritten
+    assert len(rewritten) == len(table.entries) > 57
+    assert load_cache(path) == table
+
+
+def test_table_entries_of_another_rank_are_rejected():
+    # A rank-2 row would seed the slot the drop rule reads for 3,1,1.
+    surface = Surface.blowup(2)
+    with pytest.raises(RankMismatch, match="class 3,1 has rank 2"):
+        GwTable(surface, {CurveClass((3, 1)): 7})
+    with pytest.raises(InvalidClass, match="zero class"):
+        GwTable(surface, {CurveClass((0, 0, 0)): 1})
+    assert n0(surface, CurveClass((3, 1, 1))) == 12
+
+
+@pytest.mark.parametrize("count", [0, -4, True], ids=["zero", "negative", "bool"])
+def test_table_entries_that_are_not_positive_ints_are_rejected(count):
+    with pytest.raises(InvalidClass, match=f"class 3,1,1 has count {count!r}, not a positive int"):
+        GwTable(Surface.blowup(2), {CurveClass((3, 1, 1)): count})
+
+
+@pytest.mark.parametrize("surface, first, second", [
+    (Surface.blowup(2), (4, 2, 1), (4, 1, 2)),
+    (QUADRIC, (3, 2), (2, 3)),
+], ids=["blowup", "quadric"])
+def test_table_entries_disagreeing_within_an_orbit_are_rejected(surface, first, second):
+    with pytest.raises(InvalidClass) as info:
+        GwTable(surface, {CurveClass(first): 5, CurveClass(second): 6})
+    assert (f"class {CurveClass(second)} has count 6, but an earlier entry for it"
+            " or a permutation of it has 5") == str(info.value)
+    agreeing = GwTable(surface, {CurveClass(first): 5, CurveClass(second): 5})
+    assert dict(agreeing.entries) == {CurveClass(first): 5}
 
 
 def _saved_table(tmp_path):
@@ -1024,23 +1090,27 @@ def test_a_quadric_merge_keeps_swap_partners_in_agreement(tmp_path):
     path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[2,3],"n0":"96"}]}')
     table = load_cache(path)
     n0(QUADRIC, CurveClass((1, 1)), table)
-    # A concurrent run's rows merge when every swap partner agrees ...
+    # A concurrent run's rows merge, one sorted row per orbit ...
     path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[3,2],"n0":"96"},'
                     '{"class":[1,4],"n0":"1"},{"class":[4,1],"n0":"1"}]}')
     save_cache(table, path)
     merged = load_cache(path)
-    assert CurveClass((3, 2)) not in table.entries
-    assert dict(merged.entries) == {
-        **table.entries, CurveClass((3, 2)): 96, CurveClass((1, 4)): 1, CurveClass((4, 1)): 1,
-    }
-    # ... and a file whose row disagrees with a partner the table holds is
-    # overwritten from the table alone.
+    assert CurveClass((3, 2)) in table.entries
+    assert dict(merged.entries) == {**table.entries, CurveClass((4, 1)): 1}
+    assert [row["class"] for row in json.loads(path.read_text())["entries"]] == [
+        [1, 0], [1, 1], [3, 2], [4, 1],
+    ]
+    # ... and a file whose row, in either order, disagrees with the count
+    # the table holds for its orbit is overwritten from the table alone.
     n0(QUADRIC, CurveClass((2, 2)), table)
     alone = tmp_path / "alone.json"
     save_cache(table, alone)
-    path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":[3,2],"n0":"95"}]}')
-    save_cache(table, path)
-    assert path.read_bytes() == alone.read_bytes()
+    for vector in ("[3,2]", "[2,3]"):
+        path = tmp_path / f"q{vector}.json"
+        path.write_text('{"version":1,"surface":"p1xp1","entries":[{"class":%s,"n0":"95"}]}'
+                        % vector)
+        save_cache(table, path)
+        assert path.read_bytes() == alone.read_bytes()
 
 
 def test_save_cache_skips_only_the_file_a_table_came_from(tmp_path, monkeypatch):

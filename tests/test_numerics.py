@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 from delpezzo.errors import NonIntegralResult
 from delpezzo.numerics import (
     binomial,
+    exact_quotient,
     from_decimal_string,
     to_decimal_string,
     to_integer,
 )
+
+
+def test_exact_quotient_names_the_quantity_and_the_rational():
+    assert exact_quotient(-12, 4, "cusp count", "2,2") == -3
+    with pytest.raises(NonIntegralResult, match=r"^expected integer in genus of 3,1, got -7/2$"):
+        exact_quotient(-7, 2, "genus", "3,1")
 
 
 @pytest.mark.parametrize(
