@@ -237,8 +237,6 @@ def _check_sweep(scope: str) -> list[CheckResult]:
     examined = balanced = 0
     for surface, beta, table in _sweep_classes(scope):
         examined += 1
-        # beta itself on the quadric, whose walk (orbit_pairs) is of the
-        # sorted bidegree: the labels below only name the parts.
         key = orbit_key(beta.coeffs)
         try:
             walk = list(_pair_terms(surface, CurveClass(key), table))

@@ -36,10 +36,9 @@ by the sorted bidegree (a >= b) and the relation runs only on a >= b.
 
 On blow-ups the counts are invariant under the Weyl group W(E_k), which
 the permutations of the points and the quadratic Cremona transformation
-generate (Goettsche-Pandharipande).  So a class of degree >= 2 whose
-three largest multiplicities sum past its degree is first sent through
-``orbits.cremona`` at those three points, which strictly lowers the
-degree; a chain of them ends at a standard form, with
+generate (Goettsche-Pandharipande).  So the memo is keyed by the standard
+form of a class, ``orbits.standard_form``: its orbit key carried down by
+Cremona steps, each of which strictly lowers the degree, to
 m_1 + m_2 + m_3 <= d or fewer than three points.  A standard form with a
 multiplicity 0 or 1 loses that coefficient: forgetting a blown-up point
 off the curve, or trading a point of multiplicity one for a generic point
@@ -61,12 +60,10 @@ sum m_i = 3d - 1: a standard form has sum m_i <= 2d on fewer than three
 points, and sum m_i <= k d / 3 <= 8d / 3 on more, so d <= 3 and
 m_3 <= 1, and the drop has taken it.
 
-Counts on blow-ups are invariant under permuting the blown-up points
-(Goettsche-Pandharipande), so the engine works on point-permutation orbits
-throughout.  The memo is keyed by orbit representatives
-``(d, m_1 >= ... >= m_k)``, candidates are enumerated one non-increasing
-multiplicity tuple per orbit, and the support levels hold only those
-representatives.
+The splitting walks work on the smaller orbits of the point
+permutations: candidates are enumerated one orbit representative
+``(d, m_1 >= ... >= m_k)`` per orbit, and the support levels hold only
+those representatives, each read from the memo at its standard form.
 
 Splitting sums run over support levels: for each rank and anticanonical
 degree, the orbit representatives with nonzero count, bucketed by their
@@ -87,16 +84,16 @@ orbit that can carry curves.  Permutations are built only at the output:
 ``support_enumerate`` expands the orbits into every member, and
 ``support_pairs`` is the same walk of any member with every point pinned,
 so each of its orbits is one ordered pair.  The orbit combinatorics
-(keys, Cremona steps, blocks, placements, expansion) live in ``orbits``.
+(keys, standard forms, blocks, placements, expansion) live in ``orbits``.
 
 The levels are filled in order of degree before a relation reads them,
-so evaluation is bottom-up: only the drop and Cremona reductions nest,
-three frames each (``value``, the pipeline, the step).  A drop removes a
-point, and a Cremona step lowers the degree, so a chain nests about one
-``reduce`` per point dropped and per degree step; the deepest chain of a
-``blp2:k=8`` fill to anticanonical degree 10 nests 10.  All divisions are
-exact and asserted; a failed division or a reduction that applies to
-nothing raises RecursionFailure instead of returning a wrong number.
+so evaluation is bottom-up.  ``standard_form`` runs a Cremona chain in a
+loop, so only the drop nests one ``reduce`` in another, and it removes a
+point: a chain nests about one ``reduce`` per point, and the deepest
+chain of a ``blp2:k=8`` fill to anticanonical degree 10 nests 10.  All
+divisions are exact and asserted; a failed division or a reduction that
+applies to nothing raises RecursionFailure instead of returning a wrong
+number.
 
 One engine class serves every surface through a small per-lattice record
 (``_Lattice``).  Each ``GwTable`` owns one engine; a public call without
@@ -126,7 +123,6 @@ from .numerics import binomial, from_decimal_string, to_decimal_string
 from .orbits import (
     Coeffs,
     block_sizes,
-    cremona,
     orbit_key,
     orbit_rows,
     placements,
@@ -242,10 +238,11 @@ class _Engine:
     """Genus-zero counts on one lattice family, memoised and evaluated
     bottom-up.
 
-    ``memo`` maps orbit keys (see ``_Lattice.key``) to counts, zeros
-    included.  On blow-ups the tuple
-    length encodes the surface (length k+1 on k points), so the
-    coefficient-dropping reduction reuses one memo across ranks.
+    ``memo`` maps standard forms (see ``_Lattice.key``) to counts, zeros
+    included: a class is stored at the standard form it reaches.  On
+    blow-ups the tuple length encodes the surface (length k+1 on k
+    points), so the coefficient-dropping reduction reuses one memo across
+    ranks.
 
     ``support`` maps ``(rank, anticanonical degree)`` to that level's orbit
     representatives with nonzero count, bucketed by the first coordinate:
@@ -259,8 +256,8 @@ class _Engine:
     pair of run lengths and block sizes the walks meet: label patterns, one
     per stabiliser orbit, shared by every representative of the same shape.
 
-    ``moments`` is the genus-two layer's memo on the same table: standard
-    form (``_Lattice.standard``) to ``(n0, S0, S1, S2)``, each of which is
+    ``moments`` is the genus-two layer's memo on the same table, with the
+    same keys: standard form to ``(n0, S0, S1, S2)``, each of which is
     invariant under the lattice's symmetries.
     """
 
@@ -379,8 +376,6 @@ class _Engine:
         if d == 1:
             # A line through at most two of the blown-up points is unique.
             return 1
-        if len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d:
-            return self.value(cremona(c))
         if ms and ms[-1] <= 1:
             return self.value(c[:-1])
         if delta >= 3:
@@ -442,34 +437,35 @@ class _Engine:
 class _Lattice:
     """What the engine needs to know about one family of lattices."""
 
-    key: Callable[[Coeffs], Coeffs]  # orbit representative: the memo key
-    standard: Callable[[Coeffs], Coeffs]  # standard form: the genus-two moments' key
+    key: Callable[[Coeffs], Coeffs]  # standard form: the memo and the moments' key
     degree: Callable[[Coeffs], int]  # anticanonical degree
     candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> representatives
     rows: Callable[[Iterable[tuple[Coeffs, int]]], list[tuple[Coeffs, int]]]  # orbits -> members
-    reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a representative
+    reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a key
+    # (i, top): reduce settles the keys with c[i] <= top without a relation
+    settled: tuple[int, int]
     walk: Callable[[_Engine, Coeffs, int, int], Iterator[Pair]]  # (c, degree, pinned)
     two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
 
 _BLOWUPS = _Lattice(
-    key=orbit_key,
-    standard=standard_form,
+    key=standard_form,
     degree=_blowup_degree,
     candidates=_blowup_candidates,
     rows=orbit_rows,
     reduce=_Engine._reduce_blowup,
     walk=_Engine._orbit_walk,
+    settled=(0, 1),
     two_point=(0, 0),
 )
 _QUADRIC = _Lattice(
     key=_sorted_bidegree,
-    standard=_sorted_bidegree,
     degree=_quadric_degree,
     candidates=_quadric_candidates,
     rows=list,
     reduce=_Engine._reduce_quadric,
     walk=_Engine._bidegree_walk,
+    settled=(1, 0),
     two_point=(1, 0),
 )
 
@@ -502,15 +498,17 @@ class GwTable:
 
     The table owns the engine that computes its counts.  ``entries`` is a
     read-only view of the nonzero counts of the surface's rank computed or
-    loaded so far; zero results are implicit.  The entries are orbit
-    representatives on both lattices: ``(d, m_1 >= ... >= m_k)`` on
-    blow-ups, where a count is the same for every permutation of the
-    points, and the sorted bidegree ``(a >= b)`` on the quadric, where it is
-    the same for both orders.  One member stands for the orbit, and the
-    memo is seeded by orbit, so ``entries`` passed in that list other
-    members load as well.  Each entry passed in must be a class of the
-    surface with a positive int count, and the members of one orbit must
-    agree.  Tables round-trip through the JSON cache files.
+    loaded so far; zero results are implicit.  The entries are standard
+    forms, each standing for the classes that reach it: on blow-ups
+    ``orbits.standard_form``, as a count is the same on every W(E_k)
+    image, and the sorted bidegree ``(a >= b)`` on the quadric, as it is
+    the same for both orders.  ``entries[beta]`` raises ``KeyError`` for a
+    class that is not a standard form.  The memo is seeded by standard
+    form, so ``entries`` passed in that list other members load as well.
+    Each entry passed in must be a class of the surface with a positive
+    int count, the members of one orbit must agree, and a member of an
+    orbit the engine settles without a relation (``_Lattice.settled``)
+    must carry that count.  Tables round-trip through the JSON cache files.
     """
 
     def __init__(
@@ -521,20 +519,26 @@ class GwTable:
         # (absolute path, len(entries)) of the cache file the table was last
         # loaded from or saved to, for save_cache to skip an unchanged table.
         self._stored: tuple[str, int] | None = None
-        memo = self._engine.memo
-        key = self._engine.lattice.key
+        engine = self._engine
+        memo, lattice = engine.memo, engine.lattice
+        i, top = lattice.settled
         for cls, value in (entries or {}).items():
-            # The memo is keyed by orbit and read by every reduction, so a
-            # row of another rank or a wrong count would answer for others.
+            # The memo is keyed by standard form and read by every reduction,
+            # so a row of another rank or a wrong count would answer for others.
             surface.check_class(cls)
             # type() also rules out True, which compares equal to 1.
             if type(value) is not int or value <= 0:
                 raise InvalidClass(f"class {cls} has count {value!r}, not a positive int")
-            orbit = key(cls.coeffs)
+            orbit = lattice.key(cls.coeffs)
+            if orbit[i] <= top and (known := lattice.reduce(engine, orbit)) != value:
+                raise InvalidClass(
+                    f"class {cls} has count {value}, but its orbit"
+                    f" (standard form {CurveClass(orbit)}) has {known}"
+                )
             if memo.setdefault(orbit, value) != value:
                 raise InvalidClass(
-                    f"class {cls} has count {value}, but an earlier entry for it"
-                    f" or a permutation of it has {memo[orbit]}"
+                    f"class {cls} has count {value}, but an earlier entry of its"
+                    f" orbit (standard form {CurveClass(orbit)}) has {memo[orbit]}"
                 )
 
     @property
@@ -577,12 +581,11 @@ def orbit_pairs(
     Yields ``(weight, deg1, c1, n0(c1), c2, n0(c2))`` with ``weight`` the
     orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
     the ordered splittings of ``beta`` of a summand invariant under
-    permuting the points is the weighted sum over these; on the quadric
-    the key is the sorted bidegree and every weight is 1.
+    permuting the points is the weighted sum over these.  The quadric has
+    no points, so the key is ``beta`` itself and every weight is 1.
     """
     surface.check_class(beta)
-    engine = _engine(surface, table)
-    return engine.pairs(engine.lattice.key(beta.coeffs))
+    return _engine(surface, table).pairs(orbit_key(beta.coeffs))
 
 
 def support_pairs(
@@ -629,7 +632,7 @@ def support_enumerate(
 
 
 def _cache_text(surface: Surface, rows: Mapping[Coeffs, int]) -> str:
-    """The cache file of ``surface`` holding ``rows``, one per orbit key."""
+    """The cache file of ``surface`` holding ``rows``, one per standard form."""
     document = {
         "version": CACHE_VERSION,
         "surface": surface.descriptor,
@@ -731,10 +734,11 @@ def _parse_cache(text: str, path: str | Path) -> GwTable:
     rows = document["entries"]
     if not isinstance(rows, list):
         raise CacheFormatError(f"cache file {path}: entries must be a list")
-    # The rows seed the table's memo directly, one orbit key per row.
+    # The rows seed the table's memo directly, each at its standard form.
     table = GwTable(surface=surface)
-    memo = table._engine.memo
-    orbit_of = table._engine.lattice.key
+    engine = table._engine
+    memo, lattice = engine.memo, engine.lattice
+    i, top = lattice.settled
     rank = surface.rank
     for row in rows:
         if not isinstance(row, dict) or "class" not in row or "n0" not in row:
@@ -762,13 +766,20 @@ def _parse_cache(text: str, path: str | Path) -> GwTable:
             raise CacheFormatError(
                 f"cache file {path}: class {vector} has count {value}, not positive"
             )
-        orbit = orbit_of(tuple(vector))
-        # Counts are invariant under permuting the points and under swapping
-        # the rulings, and the memo is keyed by orbit: the rows of one
-        # orbit, and the rows of a class listed twice, must agree.
+        orbit = lattice.key(tuple(vector))
+        # A key the engine settles without a relation has a known count,
+        # and a row for it would answer in the engine's place.
+        if orbit[i] <= top and (known := lattice.reduce(engine, orbit)) != value:
+            raise CacheFormatError(
+                f"cache file {path}: class {vector} has count {value}, but"
+                f" its orbit (standard form {list(orbit)}) has {known}"
+            )
+        # Counts are invariant under W(E_k) and under swapping the rulings,
+        # and the memo is keyed by standard form: the rows of one orbit, and
+        # the rows of a class listed twice, must agree.
         if memo.setdefault(orbit, value) != value:
             raise CacheFormatError(
                 f"cache file {path}: class {vector} has count {value}, but"
-                f" an earlier row for it or a permutation of it has {memo[orbit]}"
+                f" an earlier row of its orbit (standard form {list(orbit)}) has {memo[orbit]}"
             )
     return table

@@ -21,9 +21,9 @@ are.  So the moments are read from one walk of the orbit key of ``beta``
 up to its stabiliser: one pair per orbit, its summand weighted by the
 orbit size (``genus0.orbit_pairs``).  ``n0`` and the moments are
 invariant under W(E_k) on blow-ups and under swapping the rulings on the
-quadric, so a table computes them once per standard form: the class
-``orbits.standard_form`` reaches, or the sorted bidegree ``(a, b)`` with
-``a >= b``.  In this basis:
+quadric, so a table computes them once per standard form, the key its
+genus-zero counts are stored at too: the class ``orbits.standard_form``
+reaches, or the sorted bidegree ``(a, b)`` with ``a >= b``.  In this basis:
 
     rt2       = (4 + 2 b2) beta^2 n0 + S2
     taut      = (x1^2/deg) n0 - S1/(2 deg)
@@ -227,8 +227,9 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
     """One ``n0`` call and one splitting pass: everything the genus-two
     quantities of ``beta`` need.  ``n0`` and the moments are invariant
     under the lattice's symmetries, so the table's engine keeps them per
-    standard form (``_Lattice.standard``), the class it walks; the record
-    is built around the caller's ``beta``, so its errors name that class."""
+    standard form (``_Lattice.key``, the genus-zero memo's key), the class
+    it walks; the record is built around the caller's ``beta``, so its
+    errors name that class."""
     if table is None:
         table = GwTable(surface)
     deg = surface.anticanonical_degree(beta)
@@ -238,7 +239,7 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
     engine = _engine(surface, table)
-    key = engine.lattice.standard(beta.coeffs)
+    key = engine.lattice.key(beta.coeffs)
     moments = engine.moments
     stored = moments.get(key)
     if stored is None:

@@ -1,16 +1,17 @@
 """Point-permutation and Cremona orbits of blow-up classes.
 
 A blow-up class ``(d, m_1, ..., m_k)`` has the same genus-zero count as
-every class obtained by permuting its multiplicities, so the genus-zero
-engine stores one representative per orbit, ``orbit_key``: the
-multiplicities in non-increasing order.  The points of a representative
-with equal multiplicity form blocks of consecutive indices, and the
-permutations within blocks are its stabiliser.
+every class obtained by permuting its multiplicities, so the splitting
+walks of the genus-zero engine keep one representative per orbit,
+``orbit_key``: the multiplicities in non-increasing order.  The points of
+a representative with equal multiplicity form blocks of consecutive
+indices, and the permutations within blocks are its stabiliser.
 
-With the quadratic transformation ``cremona`` the permutations generate
-the Weyl group W(E_k), which preserves pairings, degrees and counts
-(Goettsche-Pandharipande).  ``standard_form`` follows a key down to the
-chamber, the chain the genus-zero engine takes one memoised step at a time.
+With the quadratic transformation based at three points the permutations
+generate the Weyl group W(E_k), which preserves pairings, degrees and
+counts (Goettsche-Pandharipande).  ``standard_form`` follows a key down to
+the chamber; the genus-zero memo, the cache rows and the genus-two
+moments are keyed by it.
 
 ``placements`` enumerates the ways to put the multiplicities of one
 representative on the points of another, one per orbit of that
@@ -34,22 +35,26 @@ def orbit_key(c: Coeffs) -> Coeffs:
     return (c[0], *sorted(c[1:], reverse=True))
 
 
-def cremona(c: Coeffs) -> Coeffs:
-    """The quadratic transformation based at the first three points, the
-    three largest multiplicities of an orbit key; it lowers ``d`` exactly
-    when ``m_1 + m_2 + m_3 > d``."""
-    d, a, b, e, *rest = c
-    return (2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *rest)
-
-
 def standard_form(c: Coeffs) -> Coeffs:
-    """The orbit key of ``c`` carried down by ``cremona``, re-sorted after
-    each step, while ``d >= 2`` and ``m_1 + m_2 + m_3 > d``: a member of
-    the W(E_k)-orbit of ``c``, reached in finitely many steps of lower ``d``."""
-    key = orbit_key(c)
-    while len(key) >= 4 and key[0] >= 2 and key[1] + key[2] + key[3] > key[0]:
-        key = orbit_key(cremona(key))
-    return key
+    """The orbit key of ``c`` carried down by the quadratic transformation
+    at its three largest multiplicities, re-sorted after each step, while
+    ``d >= 2`` and their excess ``x = m_1 + m_2 + m_3 - d`` is positive: a
+    member of the W(E_k)-orbit of ``c``, reached in finitely many steps of
+    lower ``d``, and the key under which the genus-zero engine stores the
+    count of every class that reaches it.
+
+    The transformation sends ``(d; m_1, m_2, m_3, ...)`` to
+    ``(2d - m_1 - m_2 - m_3; d - m_2 - m_3, d - m_1 - m_3, d - m_1 - m_2, ...)``,
+    which is ``x`` taken off ``d`` and off each of the three.  The steps
+    run in a loop, so a chain of any length costs no stack."""
+    d, ms = c[0], sorted(c[1:], reverse=True)
+    while len(ms) >= 3 and d >= 2 and (x := ms[0] + ms[1] + ms[2] - d) > 0:
+        d -= x
+        ms[0] -= x
+        ms[1] -= x
+        ms[2] -= x
+        ms.sort(reverse=True)
+    return (d, *ms)
 
 
 def runs(values: Coeffs) -> tuple[Coeffs, Coeffs]:

@@ -1,5 +1,6 @@
 """Consistency-check suite: structure, determinism, and verdicts."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -8,14 +9,26 @@ from delpezzo import checks
 from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
 from delpezzo.cli import main
 from delpezzo.errors import RecursionFailure
-from delpezzo.genus0 import orbit_pairs
+from delpezzo.genus0 import _Engine, orbit_pairs
 from delpezzo.orbits import orbit_key
 from delpezzo.surface import CurveClass
+
+
+# sha256 of the stdout of `delpezzo check --scope all --format json`.  The
+# benchmark's check-suite workload compares a digest of every check of this
+# output with its reference, so any byte change here fails it as well.
+CHECK_ALL_JSON_SHA256 = "9b40a0e800a2797802b6080bcd38635cef50824cb5e231aa89fa8a064ae82d54"
 
 
 @pytest.fixture(scope="module")
 def all_results():
     return run_suite("all")
+
+
+def test_check_all_json_is_pinned(capsys):
+    assert main(["check", "--scope", "all", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_ALL_JSON_SHA256
 
 
 def test_suite_is_green(all_results):
@@ -132,19 +145,35 @@ def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
 
 def test_quadric_sweep_walks_each_bidegree_itself(monkeypatch):
     # The moments memo is keyed by the sorted bidegree; the sweep walks
-    # (a, b) and (b, a) each, once.
+    # (a, b) and (b, a) each, once, and the engine walks the class it is
+    # handed: the first `_Engine.pairs` call under each `orbit_pairs` call
+    # (the ones below it fill the support levels).
     walks = Counter()
+    walked = Counter()
+    armed = False
+    real_pairs = _Engine.pairs
+
+    def recording(self, c, pinned=0):
+        nonlocal armed
+        if armed:
+            armed = False
+            walked[c] += 1
+        return real_pairs(self, c, pinned)
 
     def counting(surface, beta, table=None):
+        nonlocal armed
         walks[beta.coeffs] += 1
-        yield from orbit_pairs(surface, beta, table)
+        armed = True
+        return orbit_pairs(surface, beta, table)
 
+    monkeypatch.setattr(_Engine, "pairs", recording)
     monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
     result, identity = _check_sweep("quadric")
     assert result.status == identity.status == "pass"
     assert "27 classes examined" in result.justification
     assert len(walks) == sum(walks.values()) == 27
     assert all((b, a) in walks for a, b in walks)
+    assert walked == walks
 
 
 def test_sweep_reports_a_failed_walk(monkeypatch, capsys):

@@ -580,9 +580,48 @@ def test_quadric_cache_disagreeing_with_the_swap_is_rebuilt(tmp_path, capsys):
     assert code == 0
     assert out == "96\n"
     assert "ignoring unreadable cache" in err
-    assert "class [3, 2] has count 96, but an earlier row for it or a permutation of it has 95" in err
+    assert ("class [3, 2] has count 96, but an earlier row of its orbit"
+            " (standard form [3, 2]) has 95") in err
     rows = {tuple(row["class"]): row["n0"] for row in json.loads(cache.read_text())["entries"]}
     assert rows[(3, 2)] == "96" and (2, 3) not in rows
+
+
+def test_a_poisoned_exceptional_row_is_rebuilt(tmp_path, capsys):
+    # The exceptional class is a base case of the engine, so a row giving it
+    # any count but 1 is rejected: read, its 3 made this genus-two count 4392.
+    cache = tmp_path / "k8.json"
+    exceptional = [0] * 8 + [-1]
+    cache.write_text(json.dumps({
+        "version": 1, "surface": "blp2:k=8", "entries": [{"class": exceptional, "n0": "3"}],
+    }))
+    code, out, err = run(
+        capsys, "count", "genus2", "--surface", "blp2:k=8", "--class", "4,2,1,1,1,1,1,1,1",
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "960\n"
+    assert "ignoring unreadable cache" in err
+    assert "has count 3, but its orbit (standard form [0, 0, 0, 0, 0, 0, 0, 0, -1]) has 1" in err
+    rows = {tuple(row["class"]): row["n0"] for row in json.loads(cache.read_text())["entries"]}
+    assert rows[tuple(exceptional)] == "1"
+
+
+@pytest.mark.parametrize("cls", ["2,1,1,1", "1,0,0,0"])
+def test_a_poisoned_row_of_a_line_orbit_is_rebuilt(tmp_path, capsys, cls):
+    # The conic through three points is carried by Cremona to the line, so
+    # the row (2; 1, 1, 1) = 5 would answer for both classes.
+    cache = tmp_path / "k3.json"
+    cache.write_text(
+        '{"version":1,"surface":"blp2:k=3","entries":[{"class":[2,1,1,1],"n0":"5"}]}'
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=3", "--class", cls,
+        "--cache", str(cache),
+    )
+    assert code == 0
+    assert out == "1\n"
+    assert "class [2, 1, 1, 1] has count 5, but its orbit (standard form [1, 0, 0, 0]) has 1" in err
+    assert '"n0":"5"' not in cache.read_text()
 
 
 def test_foreign_cache_is_protected(tmp_path, capsys):

@@ -20,6 +20,7 @@ import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -40,12 +41,13 @@ from delpezzo.genus0 import (
     _Engine,
     load_cache,
     n0,
+    orbit_pairs,
     save_cache,
     support_enumerate,
     support_pairs,
 )
 from delpezzo.genus2 import genus2_report
-from delpezzo.orbits import cremona, orbit_key
+from delpezzo.orbits import orbit_key, standard_form
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
 from blowup_point import append_coefficient
 from recursion_limit import recursion_margin
@@ -394,6 +396,29 @@ def test_plane_evaluates_bottom_up():
 # the order of the reductions does not change a count.
 
 
+def cremona(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The quadratic transformation based at the first three points."""
+    d, a, b, e, *rest = c
+    return (2 * d - a - b - e, d - b - e, d - a - e, d - a - b, *rest)
+
+
+def test_standard_form_is_the_chain_of_quadratic_transformations():
+    # Every orbit key with d <= 6 on up to six points, multiplicities in
+    # [-2, d + 1]: the transformation at the three largest multiplicities,
+    # re-sorted, until d < 2 or m1 + m2 + m3 <= d.
+    keys = 0
+    for k in range(7):
+        for d in range(-1, 7):
+            for ms in itertools.combinations_with_replacement(range(d + 1, -3, -1), k):
+                c = (d, *ms)
+                while k >= 3 and c[0] >= 2 and sum(c[1:4]) > c[0]:
+                    c = orbit_key(cremona(c))
+                assert standard_form((d, *ms)) == c
+                assert standard_form((d, *ms[::-1])) == c
+                keys += 1
+    assert keys == 19412
+
+
 def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
     d, ms = c[0], c[1:]
     if d < 0:
@@ -422,6 +447,10 @@ def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
     return engine.value(cremona(c))
 
 
+# The oracle keys its memo by orbit, so the quadratic transformation is one
+# of its steps, not its key.
+RELATION_FIRST = dataclasses.replace(_BLOWUPS, key=orbit_key, reduce=relation_first)
+
 RELATION_FIRST_BOUNDS = {3: 10, 4: 8, 5: 7, 6: 6, 7: 5, 8: 3}
 
 
@@ -429,7 +458,7 @@ RELATION_FIRST_BOUNDS = {3: 10, 4: 8, 5: 7, 6: 6, 7: 5, 8: 3}
 def test_cremona_first_agrees_with_the_relation_first_engine(k, bound):
     surface = Surface.blowup(k)
     engine, oracle = _Engine(surface), _Engine(surface)
-    oracle.lattice = dataclasses.replace(_BLOWUPS, reduce=relation_first)
+    oracle.lattice = RELATION_FIRST
     engine.ensure(surface.rank, bound)
     oracle.ensure(surface.rank, bound)
     # Every orbit representative of every level, with its count, and every
@@ -461,9 +490,9 @@ def test_eight_point_pins(coeffs, expected):
 
 
 def test_eight_point_fill_nests_a_few_frames_per_point(monkeypatch):
-    # Cremona chains and drops nest, three frames per step; the deepest
-    # chain of this fill is 10 reductions.  The four-divisor relation fires
-    # only on -2K and -3K.
+    # Cremona chains run in a loop and only drops nest a reduction in
+    # another; the deepest chain of this fill is 10 reductions.  The
+    # four-divisor relation fires only on -2K and -3K.
     fired = []
     real = _Engine._four_divisor_relation
 
@@ -528,7 +557,7 @@ def test_typed_classes_agree_with_the_relation_first_engine():
     for k in range(9):
         surface = Surface.blowup(k)
         engine, oracle = _Engine(surface), _Engine(surface)
-        oracle.lattice = dataclasses.replace(_BLOWUPS, reduce=relation_first)
+        oracle.lattice = RELATION_FIRST
         for d in range(-1, 7):
             for ms in itertools.combinations_with_replacement(range(d + 1, -3, -1), k):
                 c = (d, *ms)
@@ -542,6 +571,25 @@ def test_a_stalled_reduction_is_a_recursion_failure():
     # form with delta = 0 and no multiplicity below 2: nothing applies.
     with pytest.raises(RecursionFailure, match="no reduction applies"):
         _Engine(Surface.blowup(8)).value((9,) + (3,) * 8 + (2,))
+
+
+def test_classes_that_fail_a_base_check_past_the_chamber_count_zero():
+    # The engine carries a class to its standard form before any base
+    # check, so a class with m1 + m2 + m3 > d >= 2 that fails one (some
+    # m_i < 0, m_1 > d, or delta < 0) reaches the checks only as its image.
+    classes = 0
+    for k, top in ((3, 5), (4, 5), (5, 5), (8, 4)):
+        surface = Surface.blowup(k)
+        table = GwTable(surface)
+        for d in range(2, top + 1):
+            for ms in itertools.combinations_with_replacement(range(d + 1, -2, -1), k):
+                if ms[0] + ms[1] + ms[2] <= d:
+                    continue
+                if ms[-1] >= 0 and ms[0] <= d and 3 * d - sum(ms) >= 1:
+                    continue
+                assert n0(surface, CurveClass((d, *ms)), table) == 0, (d, ms)
+                classes += 1
+    assert classes == 6155
 
 
 def _engines_without_a_table() -> list[_Engine]:
@@ -577,8 +625,8 @@ def test_entries_are_a_read_only_view_of_the_memo():
 
 def test_incremental_harvest_matches_a_full_scan(tmp_path):
     # After a mix of calls, a table's entries, fresh or loaded from a file
-    # that lists every permutation, are the orbit representatives a cold
-    # scan finds, with the same counts.
+    # that lists every permutation, are the standard forms a cold scan
+    # finds, with the same counts.
     surface = Surface.blowup(3)
     source = GwTable(surface=surface)
     support_enumerate(surface, 7, source)
@@ -588,7 +636,7 @@ def test_incremental_harvest_matches_a_full_scan(tmp_path):
     scan = {
         beta: value
         for beta, value in support_enumerate(surface, 11, cold)
-        if list(beta.coeffs[1:]) == sorted(beta.coeffs[1:], reverse=True)
+        if standard_form(beta.coeffs) == beta.coeffs
     }
     for table in (GwTable(surface=surface), load_cache(path)):
         n0(surface, CurveClass((4, 2, 1, 1)), table)
@@ -598,7 +646,8 @@ def test_incremental_harvest_matches_a_full_scan(tmp_path):
         list(support_pairs(surface, CurveClass((6, 3, 2, 2)), table))
         support_enumerate(surface, 11, table)
         entries = dict(table.entries)
-        assert CurveClass((7, 3, 3, 2)) in entries
+        assert CurveClass(standard_form((7, 3, 3, 2))) in entries
+        assert CurveClass((7, 3, 3, 2)) not in entries
         assert {b: v for b, v in entries.items() if surface.anticanonical_degree(b) <= 11} == scan
         assert all(n0(surface, beta, cold) == value for beta, value in entries.items())
 
@@ -686,6 +735,8 @@ def test_orbit_candidates_match_the_box(k):
 
 
 def test_blowup_memo_holds_orbit_representatives():
+    # The orbit is the W(E_k)-orbit: the memo and the entries hold standard
+    # forms only, each an orbit representative of the point permutations.
     surface = Surface.blowup(4)
     table = GwTable(surface=surface)
     support_enumerate(surface, 10, table)
@@ -693,8 +744,21 @@ def test_blowup_memo_holds_orbit_representatives():
     assert len(memo) > 100
     for coeffs in memo:
         assert list(coeffs[1:]) == sorted(coeffs[1:], reverse=True)
-    assert all(list(c.coeffs[1:]) == sorted(c.coeffs[1:], reverse=True)
-               for c in table.entries)
+        assert standard_form(coeffs) == coeffs
+    assert all(standard_form(c.coeffs) == c.coeffs for c in table.entries)
+    # A member off the chamber reads its standard form's count.
+    assert (4, 2, 2, 2, 1) not in memo and memo[(2, 1, 0, 0, 0)] == 1
+    with pytest.raises(KeyError):
+        table.entries[CurveClass((4, 2, 2, 2, 1))]
+
+
+def test_quadric_orbit_pairs_split_the_class_given():
+    # The quadric has no points, so the orbit key of (2, 3) is (2, 3) itself,
+    # not its sorted swap: every pair is a splitting of the class asked for.
+    pairs = list(orbit_pairs(QUADRIC, CurveClass((2, 3))))
+    assert len(pairs) > 0
+    assert all(weight == 1 for weight, *_ in pairs)
+    assert all(tuple(map(add, c1, c2)) == (2, 3) for _, _, c1, _, c2, _ in pairs)
 
 
 def test_support_classes_are_geometric():
@@ -853,7 +917,7 @@ def test_orbit_inconsistent_cache_rejected(tmp_path):
         '{"version":1,"surface":"blp2:k=2","entries":['
         '{"class":[4,1,2],"n0":"95"},{"class":[4,2,1],"n0":"96"}]}'
     )
-    with pytest.raises(CacheFormatError, match="permutation"):
+    with pytest.raises(CacheFormatError, match="earlier row of its orbit"):
         load_cache(path)
 
 
@@ -865,7 +929,7 @@ def test_quadric_cache_listing_a_class_twice_rejected(tmp_path):
         '{"version":1,"surface":"p1xp1","entries":['
         '{"class":[1,1],"n0":"1"},{"class":[1,1],"n0":"7"}]}'
     )
-    with pytest.raises(CacheFormatError, match="permutation"):
+    with pytest.raises(CacheFormatError, match="earlier row of its orbit"):
         load_cache(path)
 
 
@@ -878,11 +942,11 @@ def test_quadric_cache_disagreeing_with_the_swap_rejected(tmp_path, rows):
     # orbit and the generic orbit check rejects the later row.
     path = tmp_path / "q.json"
     path.write_text('{"version":1,"surface":"p1xp1","entries":[' + rows + ']}')
-    with pytest.raises(CacheFormatError, match="permutation") as info:
+    with pytest.raises(CacheFormatError, match="earlier row of its orbit") as info:
         load_cache(path)
     first, second = (row["n0"] for row in json.loads(f"[{rows}]"))
-    assert (f"has count {second}, but an earlier row for it or a permutation of it"
-            f" has {first}") in str(info.value)
+    assert (f"has count {second}, but an earlier row of its orbit"
+            f" (standard form [3, 2]) has {first}") in str(info.value)
 
 
 def test_quadric_cache_rows_agree_with_their_swap(tmp_path):
@@ -949,10 +1013,87 @@ def test_table_entries_that_are_not_positive_ints_are_rejected(count):
 def test_table_entries_disagreeing_within_an_orbit_are_rejected(surface, first, second):
     with pytest.raises(InvalidClass) as info:
         GwTable(surface, {CurveClass(first): 5, CurveClass(second): 6})
-    assert (f"class {CurveClass(second)} has count 6, but an earlier entry for it"
-            " or a permutation of it has 5") == str(info.value)
+    assert (f"class {CurveClass(second)} has count 6, but an earlier entry of its"
+            f" orbit (standard form {CurveClass(first)}) has 5") == str(info.value)
     agreeing = GwTable(surface, {CurveClass(first): 5, CurveClass(second): 5})
     assert dict(agreeing.entries) == {CurveClass(first): 5}
+
+
+# Rows whose standard form the engine settles without a relation, with a
+# count other than the one it settles them to: d <= 1 on blow-ups (the
+# exceptional classes, lines, and the zero class), (a, 0) on the quadric.
+BASE_CASE_ROWS = [
+    pytest.param("blp2:k=8", [0, 0, 0, 0, 0, 0, 0, 0, -1], 3, [0, 0, 0, 0, 0, 0, 0, 0, -1], 1,
+                 id="exceptional"),
+    pytest.param("blp2:k=3", [2, 1, 1, 1], 5, [1, 0, 0, 0], 1, id="conic-to-line"),
+    pytest.param("blp2:k=3", [1, 1, 0, 0], 2, [1, 1, 0, 0], 1, id="line"),
+    pytest.param("blp2:k=2", [0, 0, 0], 5, [0, 0, 0], 0, id="zero-class"),
+    pytest.param("blp2:k=2", [0, -1, -1], 1, [0, -1, -1], 0, id="two-exceptional"),
+    pytest.param("p1xp1", [0, 1], 4, [1, 0], 1, id="ruling"),
+    pytest.param("p1xp1", [3, 0], 2, [3, 0], 0, id="ruling-cover"),
+]
+
+
+@pytest.mark.parametrize("descriptor, row, count, standard, known", BASE_CASE_ROWS)
+def test_cache_rows_must_carry_the_count_of_a_base_case(tmp_path, descriptor, row, count,
+                                                        standard, known):
+    path = tmp_path / "poisoned.json"
+    path.write_text(json.dumps({
+        "version": 1, "surface": descriptor, "entries": [{"class": row, "n0": str(count)}],
+    }))
+    with pytest.raises(CacheFormatError) as info:
+        load_cache(path)
+    assert str(info.value).endswith(
+        f"class {row} has count {count}, but its orbit (standard form {standard}) has {known}"
+    )
+
+
+@pytest.mark.parametrize("descriptor, row, count, standard, known", BASE_CASE_ROWS)
+def test_table_entries_must_carry_the_count_of_a_base_case(descriptor, row, count,
+                                                           standard, known):
+    surface = Surface.parse(descriptor)
+    if not any(row):
+        # The zero class is not a class of the surface at all.
+        with pytest.raises(InvalidClass, match="zero class"):
+            GwTable(surface, {CurveClass(tuple(row)): count})
+        return
+    with pytest.raises(InvalidClass) as info:
+        GwTable(surface, {CurveClass(tuple(row)): count})
+    assert str(info.value) == (
+        f"class {CurveClass(tuple(row))} has count {count}, but its orbit"
+        f" (standard form {CurveClass(tuple(standard))}) has {known}"
+    )
+
+
+def test_base_case_rows_with_their_count_load():
+    rows = {(2, 1, 1, 1): 1, (1, 1, 0, 0): 1, (0, 0, 0, -1): 1, (0, -1, 0, 0): 1}
+    surface = Surface.blowup(3)
+    table = GwTable(surface, {CurveClass(c): v for c, v in rows.items()})
+    assert dict(table.entries) == {
+        CurveClass((1, 0, 0, 0)): 1, CurveClass((1, 1, 0, 0)): 1, CurveClass((0, 0, 0, -1)): 1,
+    }
+    assert GwTable(QUADRIC, {CurveClass((0, 1)): 1}).entries[CurveClass((1, 0))] == 1
+
+
+def test_cache_rows_of_one_standard_form_must_agree(tmp_path):
+    # (4; 2, 2, 2, 1) is carried by one Cremona step to (2; 1, 0, 0, 0), so
+    # the two rows are one orbit of W(E_4) and cannot carry different counts.
+    path = tmp_path / "k4.json"
+    path.write_text(
+        '{"version":1,"surface":"blp2:k=4","entries":['
+        '{"class":[2,1,0,0,0],"n0":"1"},{"class":[4,2,2,2,1],"n0":"2"}]}'
+    )
+    with pytest.raises(CacheFormatError) as info:
+        load_cache(path)
+    assert str(info.value).endswith(
+        "class [4, 2, 2, 2, 1] has count 2, but an earlier row of its orbit"
+        " (standard form [2, 1, 0, 0, 0]) has 1"
+    )
+    # In agreement they load as one entry, which answers for both.
+    path.write_text(path.read_text().replace('"n0":"2"', '"n0":"1"'))
+    table = load_cache(path)
+    assert dict(table.entries) == {CurveClass((2, 1, 0, 0, 0)): 1}
+    assert n0(Surface.blowup(4), CurveClass((4, 2, 2, 2, 1)), table) == 1
 
 
 def _saved_table(tmp_path):
