@@ -4,6 +4,7 @@
     python3 scripts/bench_pair.py --workload g0-ladder --seeds 21-30 \\
         --out BENCH_4.json --change "what the change does" --claim g0-ladder:wall_s
     python3 scripts/bench_pair.py --workload g2-sweep --seeds 21-30 --out BENCH_4.json
+    python3 scripts/bench_pair.py --workload g0-ladder --seeds 1-4 --quick
 
 Exports ``--base`` (default ``HEAD``, so an uncommitted change is compared
 with its parent; pass ``HEAD~1`` once the change is committed) with ``git
@@ -20,7 +21,12 @@ runs
 
 once in each copy, back to back, with odd seeds running the change first
 and even seeds the base (see ``schedule``).  ``T`` is the ``run_seconds``
-of ``BENCHMARK.json``, the same on both sides.
+of ``BENCHMARK.json``, the same on both sides.  ``--quick`` is a pre-check
+of a few seconds per run: ``T`` is 0, which makes run.py take its minimum
+of untraced repetitions and set-up samples, on the same schedule and
+checkouts; it prints the same medians and verdicts, ``raw_setup_s``
+beside ``setup_s``, and writes no file, so a shift of ``setup_s`` or a
+lost gain shows before the full runs.
 
 The result goes to ``--out`` in the ``BENCH_<n>.json`` layout: per workload
 the seeds, ``correct``, ``attempted`` and ``failed`` of both sides, and per
@@ -161,13 +167,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=names, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="e.g. 21-30")
-    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or update")
+    parser.add_argument("--out", help="BENCH_<n>.json to write or update (not with --quick)")
+    parser.add_argument("--quick", action="store_true",
+                        help="run.py --seconds 0 on each side: print the verdicts, write no file")
     parser.add_argument("--base", default="HEAD", help="commit to compare with (default HEAD)")
     parser.add_argument("--change", help="one line on what the change does")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
     args = parser.parse_args()
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
+    if not args.quick and not args.out:
+        parser.error("--out is required without --quick")
+    seconds = 0 if args.quick else spec["run_seconds"]
 
     scratch = tempfile.mkdtemp(prefix="bench-pair-")
     try:
@@ -185,12 +196,12 @@ def main() -> int:
                 where = dict(runs)
             for side, name in runs:
                 sides[side].append(run(os.path.join(scratch, name), args.workload, seed,
-                                       spec["run_seconds"]))
+                                       seconds))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     document: dict = {}
-    if os.path.exists(args.out):
+    if args.out and os.path.exists(args.out):
         with open(args.out) as handle:
             document = json.load(handle)
     if args.claim:
@@ -220,6 +231,8 @@ def main() -> int:
         f"{side} " + ", ".join(f"{name} {setup[side][name]}" for name in STARTUP)
         for side in sides))
     correct = all(r["correct"] for runs in sides.values() for r in runs)
+    if args.quick:
+        return 0 if correct else 1
     entry = {
         "seeds": args.seeds,
         "correct": correct,

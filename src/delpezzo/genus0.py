@@ -86,6 +86,29 @@ orbit that can carry curves.  Permutations are built only at the output:
 so each of its orbits is one ordered pair.  The orbit combinatorics
 (keys, standard forms, blocks, placements, expansion) live in ``orbits``.
 
+Swapping the two parts maps the splittings of a class onto themselves,
+so the relations and the genus-two moments read the half walk, which
+yields each unordered splitting once: the levels ``D1 <= D / 2`` only,
+and on the middle level ``D1 = D / 2`` only the buckets
+``e <= beta[0] - e``.  Its weights count the ordered splittings a pair
+stands for.  A pair whose mirror ``(beta2, beta1)`` lies in another level
+or bucket stands for the mirror's orbit too, which has the same size, so
+its weight is twice its orbit size; the middle bucket pairs with itself,
+so its placements yield both orders, each weighted by its orbit size.
+The summands of the four-divisor relation and of the moments are
+swap-invariant, as ``C(delta-1, delta1) = C(delta-1, delta2)``, so they
+are summed with these weights as they stand.  The two-point relation's
+summand is not: it sums the summands of a pair and of its mirror, which
+with ``delta2 = delta - 1 - delta1`` and ``C(n, r) = C(n, n - r)`` reads
+``C(delta-3, delta1-1)`` and ``C(delta-3, delta1-2)``, and halves the
+total, which counts both orders twice; the halving is exact and
+asserted.  ``support_pairs``, ``orbit_pairs`` and the swap test of the
+consistency suite keep the full ordered walk: the output lists every
+ordered pair, and the swap test compares the two orders of one walk,
+which a walk that built the mirrors would pass by construction.  The
+binomials are ``math.comb``, the two-point relation's from one row per
+relation, padded with zeros below the triangle.
+
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up.  ``standard_form`` runs a Cremona chain in a
 loop, so only the drop nests one ``reduce`` in another, and it removes a
@@ -107,7 +130,8 @@ import os
 import threading
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from math import isqrt
+from itertools import repeat
+from math import comb, isqrt
 from operator import sub
 from pathlib import Path
 from typing import Callable
@@ -119,7 +143,7 @@ from .errors import (
     RecursionFailure,
     SurfaceMismatch,
 )
-from .numerics import binomial, from_decimal_string, to_decimal_string
+from .numerics import from_decimal_string, to_decimal_string
 from .orbits import (
     Coeffs,
     block_sizes,
@@ -146,7 +170,8 @@ CACHE_VERSION = 1
 
 # (weight, anticanonical degree of the first part, c1, n0(c1), c2, n0(c2)):
 # one ordered splitting standing for ``weight`` of them, its images under
-# the permutations of the points that fix the split class.
+# the permutations of the points that fix the split class, and in the half
+# walk also their mirrors (c2, c1).
 Pair = tuple[int, int, Coeffs, int, Coeffs, int]
 
 
@@ -278,14 +303,23 @@ class _Engine:
             cached = self.memo[key] = self.lattice.reduce(self, key)
         return cached
 
-    def pairs(self, c: Coeffs, pinned: int = 0) -> Iterator[Pair]:
+    def pairs(self, c: Coeffs, pinned: int = 0, half: bool = False) -> Iterator[Pair]:
         """Ordered splittings of ``c`` into two classes with nonzero counts,
         one per orbit of the permutations of points that fix ``c`` and its
         first ``pinned`` points, weighted by the orbit size; ``c`` is an
-        orbit key unless every point is pinned."""
+        orbit key unless every point is pinned.
+
+        The half walk (``half``, which pins no point) yields each unordered
+        splitting once, weighted by the ordered splittings it stands for: it
+        reads the levels ``degree1 <= degree / 2``, and on the middle level
+        only the buckets ``e <= c[0] - e``.  A pair whose mirror ``(c2, c1)``
+        lies in another level or bucket stands for the mirror's orbit too,
+        of the same size, so its weight is twice its orbit size.  The middle
+        bucket pairs with itself, so its placements yield both orders, each
+        weighted by its orbit size."""
         degree = self.lattice.degree(c)
         self.ensure(len(c), degree - 1)
-        return self.lattice.walk(self, c, degree, pinned)
+        return self.lattice.walk(self, c, degree, pinned, half)
 
     def ensure(self, rank: int, bound: int) -> None:
         """Fill the support levels of ``rank`` up to anticanonical degree ``bound``."""
@@ -299,7 +333,9 @@ class _Engine:
 
     # -- splitting walks ----------------------------------------------------
 
-    def _orbit_walk(self, c: Coeffs, degree: int, pinned: int) -> Iterator[Pair]:
+    def _orbit_walk(
+        self, c: Coeffs, degree: int, pinned: int, half: bool
+    ) -> Iterator[Pair]:
         """Blow-ups: join two levels on the line degree.  Each representative
         of the smaller of two matching buckets is placed on the points of
         ``c`` once per stabiliser orbit, and each complement is one lookup
@@ -307,12 +343,20 @@ class _Engine:
         rank, d = len(c), c[0]
         sizes = block_sizes(c, pinned)
         points = c[1:]
-        for degree1 in range(1, degree):
+        for degree1 in range(1, degree // 2 + 1 if half else degree):
             partners = self.support[(rank, degree - degree1)]
+            middle = half and 2 * degree1 == degree
             for e, bucket in self.support[(rank, degree1)].items():
                 others = partners.get(d - e)
                 if not others:
                     continue
+                # Off the middle bucket a pair of the half walk stands for its
+                # mirror too.
+                scale = 2 if half else 1
+                if middle:
+                    if 2 * e > d:
+                        continue
+                    scale = 2 if 2 * e < d else 1
                 if len(bucket) <= len(others):
                     walked, looked_up, first = bucket, others, True
                 else:
@@ -326,9 +370,9 @@ class _Engine:
                         part = (line, *ms)
                         other = tuple(map(sub, c, part))
                         if first:
-                            yield weight, degree1, part, n, other, m
+                            yield scale * weight, degree1, part, n, other, m
                         else:
-                            yield weight, degree1, other, m, part, n
+                            yield scale * weight, degree1, other, m, part, n
 
     def _placed(self, rep: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
         """``(weight, multiplicities)`` for each placement of the
@@ -344,20 +388,26 @@ class _Engine:
         pick = values.__getitem__
         return [(weight, tuple(map(pick, labels))) for weight, labels in patterns]
 
-    def _bidegree_walk(self, c: Coeffs, degree: int, pinned: int) -> Iterator[Pair]:
+    def _bidegree_walk(
+        self, c: Coeffs, degree: int, pinned: int, half: bool
+    ) -> Iterator[Pair]:
         """The quadric: level ``D1`` is read only at the first coordinates
         ``a1`` that leave a nonnegative complement, in increasing ``a1``;
         each bucket holds the one bidegree ``(a1, D1/2 - a1)``, and no
-        permutation acts, so every weight is 1."""
+        permutation acts, so every orbit is one pair: of weight 1, or 2 off
+        the middle bucket of the half walk."""
         a, b = c
-        for degree1 in range(2, degree, 2):
+        for degree1 in range(2, degree // 2 + 1 if half else degree, 2):
             half1 = degree1 // 2
             level1, level2 = self.support[(2, degree1)], self.support[(2, degree - degree1)]
-            for a1 in range(max(0, half1 - b), min(a, half1) + 1):
+            middle = half and 2 * degree1 == degree
+            scale = 2 if half else 1
+            top = a // 2 if middle else min(a, half1)
+            for a1 in range(max(0, half1 - b), top + 1):
                 if (bucket1 := level1.get(a1)) and (bucket2 := level2.get(a - a1)):
                     [(c1, n1)] = bucket1.items()
                     [(c2, n2)] = bucket2.items()
-                    yield 1, degree1, c1, n1, c2, n2
+                    yield 1 if middle and 2 * a1 == a else scale, degree1, c1, n1, c2, n2
 
     # -- reduction pipelines -------------------------------------------------
 
@@ -401,32 +451,45 @@ class _Engine:
         # b.A = b[i] and b.B = b[j]; the leading coefficient A.B is 1.
         i, j = self.lattice.two_point
         dot = self.dot
-        # row[delta1] = C(delta-3, delta1-1) for the 0 <= delta1 < delta of the parts.
-        row = [binomial(delta - 3, r) for r in range(-1, delta)]
+        # row[delta1 + 2] = C(delta-3, delta1), zero outside the triangle: the
+        # parts have 0 <= delta1 < delta, and a mirror reads delta1 - 2.
+        top = delta - 3
+        row = [0, 0, *map(comb, repeat(top), range(top + 1)), 0, 0]
         total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, 0, True):  # the half walk
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
-            delta1 = degree1 - 1
-            bracket = c2[j] * row[delta1] - c1[j] * row[delta1 + 1]
-            total += weight * n1 * n2 * (pairing * c1[i]) * bracket
-        return total
+            # The summands of (c1, c2) and of its mirror (c2, c1): with
+            # delta1 = degree1 - 1, C(delta-3, delta1-1) = row[degree1], and
+            # the mirror's delta2 = delta - 1 - delta1 turns its binomials
+            # into C(delta-3, delta1-1) and C(delta-3, delta1-2).
+            middle = row[degree1]
+            term = c1[i] * (c2[j] * middle - c1[j] * row[degree1 + 1]) + c2[i] * (
+                c1[j] * middle - c2[j] * row[degree1 - 1]
+            )
+            total += weight * n1 * n2 * pairing * term
+        # The weights count both orders of each splitting, and so does term.
+        count, remainder = divmod(total, 2)
+        if remainder:
+            raise RecursionFailure(f"two-point relation left remainder at {c}")
+        return count
 
     def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
         # (A, B, C, D) = (e_a, e_b, e^a, e^b) summed over a basis and its
         # dual: only pairings remain, so every summand is invariant under
-        # the lattice's isometries and the walk pins no point.  The leading
-        # coefficient is 2 (1 - r) beta^2 on a lattice of rank r.
+        # the lattice's isometries and under swapping the parts, and the
+        # half walk pins no point.  The leading coefficient is 2 (1 - r) beta^2
+        # on a lattice of rank r.
         dot = self.dot
         kappa = 2 * (1 - len(c)) * dot(c, c)
         total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c):
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, 0, True):  # the half walk
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
             bracket = dot(c1, c1) * dot(c2, c2) - pairing * pairing
-            total += binomial(delta - 1, degree1 - 1) * weight * n1 * n2 * pairing * bracket
+            total += comb(delta - 1, degree1 - 1) * weight * n1 * n2 * pairing * bracket
         quotient, remainder = divmod(total, kappa)
         if remainder:
             raise RecursionFailure(f"four-divisor relation left remainder at {c}")
@@ -444,7 +507,7 @@ class _Lattice:
     reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a key
     # (i, top): reduce settles the keys with c[i] <= top without a relation
     settled: tuple[int, int]
-    walk: Callable[[_Engine, Coeffs, int, int], Iterator[Pair]]  # (c, degree, pinned)
+    walk: Callable[[_Engine, Coeffs, int, int, bool], Iterator[Pair]]  # (c, degree, pinned, half)
     two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
 
@@ -582,7 +645,10 @@ def orbit_pairs(
     orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
     the ordered splittings of ``beta`` of a summand invariant under
     permuting the points is the weighted sum over these.  The quadric has
-    no points, so the key is ``beta`` itself and every weight is 1.
+    no points, so the key is ``beta`` itself and every weight is 1.  This
+    is the full ordered walk, each order of a splitting walked on its own;
+    the engine's relations and the genus-two moments read its half walk
+    (``_Engine.pairs`` with ``half``) instead.
     """
     surface.check_class(beta)
     return _engine(surface, table).pairs(orbit_key(beta.coeffs))
@@ -595,9 +661,10 @@ def support_pairs(
 
     Yields ``(beta1, n0(beta1), beta2, n0(beta2))``.  This is the sum range
     shared by every splitting formula downstream: terms outside it vanish.
-    It is the engine's walk (see :func:`orbit_pairs`) of ``beta`` with
-    every point pinned: each block of points is then a single point, in any
-    order, so every orbit is one ordered pair of weight 1.
+    It is the engine's full ordered walk (see :func:`orbit_pairs`) of
+    ``beta`` with every point pinned: each block of points is then a single
+    point, in any order, so every orbit is one ordered pair of weight 1,
+    and both orders of every splitting are listed.
     """
     surface.check_class(beta)
     for _, _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs, surface.k):

@@ -17,9 +17,12 @@ moments, summed over those ordered pairs:
 Each summand is invariant under swapping the two parts, because
 C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)), and under the
 permutations of blown-up points, because counts, pairings and degrees
-are.  So the moments are read from one walk of the orbit key of ``beta``
-up to its stabiliser: one pair per orbit, its summand weighted by the
-orbit size (``genus0.orbit_pairs``).  ``n0`` and the moments are
+are.  So the moments are read from one half walk of the orbit key of
+``beta`` (``genus0._Engine.pairs`` with ``half``): one pair per orbit of
+unordered splittings under its stabiliser, its summand weighted by the
+orbit size, doubled off the middle bucket, where the pair also stands
+for its mirror, which the walk skips.  The consistency suite's sweep reads the
+full ordered walk of the same summands instead.  ``n0`` and the moments are
 invariant under W(E_k) on blow-ups and under swapping the rulings on the
 quadric, so a table computes them once per standard form, the key its
 genus-zero counts are stored at too: the class ``orbits.standard_form``
@@ -70,12 +73,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
-from .genus0 import GwTable, _engine, n0, orbit_pairs
+from .genus0 import GwTable, _engine, n0
 from .numerics import binomial, exact_quotient, to_decimal_string, to_integer
-from .orbits import Coeffs
+from .orbits import Coeffs, orbit_key
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -99,26 +103,31 @@ __all__ = [
 
 
 def _pair_terms(
-    surface: Surface, beta: CurveClass, table: GwTable | None
+    surface: Surface, beta: CurveClass, table: GwTable | None, half: bool = False
 ) -> Iterator[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]]:
     """The summands of ``S0, S1, S2``, one per orbit of ordered splittings
     of the orbit key of ``beta`` under its stabiliser:
     ``(weight, u, v, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with ``u``, ``v``
     the coefficient tuples of one member ``(beta1, beta2)``, ``weight`` the
     orbit size and ``t0 = w n1 n2 (b1.b2)``.  Each summand is the same on
-    every member of its orbit, so ``S_i`` is the weighted sum.
+    every member of its orbit, so ``S_i`` is the weighted sum.  With
+    ``half`` the walk yields each unordered splitting once
+    (``genus0._Engine.pairs``): the summands are swap-invariant, so a pair
+    whose mirror is not walked carries twice its orbit size as weight.
 
     ``beta`` is validated once per call.  The parts come from the genus-zero
     engine, which only builds classes of the surface's rank, so each pair's
     ``b1.b2``, ``b1^2`` and ``b2^2`` are read off the coefficient tuples with
     the unchecked pairing ``Surface._dot``.  The rest follows from
     additivity of the degree: ``deg2 = deg - deg1`` and
-    ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``.
+    ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``, which
+    ``math.comb`` gives without the checks of ``numerics.binomial``.
     """
     deg = surface.anticanonical_degree(beta)
     dot = surface._dot
-    for weight, deg1, u, count1, v, count2 in orbit_pairs(surface, beta, table):
-        t0 = binomial(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
+    walk = _engine(surface, table).pairs(orbit_key(beta.coeffs), 0, half)
+    for weight, deg1, u, count1, v, count2 in walk:
+        t0 = comb(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
         yield weight, u, v, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
 
 
@@ -245,7 +254,8 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
     if stored is None:
         walked = CurveClass(key)
         count = n0(surface, walked, table)
-        stored = moments[key] = (count, *_sums(_pair_terms(surface, walked, table)))
+        # The half walk: the summands are swap-invariant.
+        stored = moments[key] = (count, *_sums(_pair_terms(surface, walked, table, True)))
     return _record(surface, beta, deg, *stored)
 
 

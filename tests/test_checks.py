@@ -9,9 +9,9 @@ from delpezzo import checks
 from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
 from delpezzo.cli import main
 from delpezzo.errors import RecursionFailure
-from delpezzo.genus0 import _Engine, orbit_pairs
 from delpezzo.orbits import orbit_key
 from delpezzo.surface import CurveClass
+from engine_walks import record_walks
 
 
 # sha256 of the stdout of `delpezzo check --scope all --format json`.  The
@@ -125,55 +125,30 @@ def test_failure_renders_as_fail():
 def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
     # The swap test and the genus-two moments read one walk of each class's
     # orbit key, and never the moments memo, so each of the 100 keys is
-    # walked once per member.  The counter wraps the genus-zero walk under
+    # walked once per member.  The recorder wraps the engine's walk under
     # `_pair_terms`.
-    walks = Counter()
-
-    def counting(surface, beta, table=None):
-        walks[(surface.descriptor, beta)] += 1
-        yield from orbit_pairs(surface, beta, table)
-
-    monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
+    recorded = record_walks(monkeypatch)
     result, identity = _check_sweep("blowups")
+    walks = Counter(recorded)
     assert result.status == identity.status == "pass"
     assert "247 classes examined" in result.justification
     assert "247 classes examined" in identity.justification
     assert len(walks) == 100
-    assert all(beta.coeffs == orbit_key(beta.coeffs) for _, beta in walks)
+    assert all(c == orbit_key(c) for c in walks)
     assert sum(walks.values()) == 247
 
 
 def test_quadric_sweep_walks_each_bidegree_itself(monkeypatch):
     # The moments memo is keyed by the sorted bidegree; the sweep walks
     # (a, b) and (b, a) each, once, and the engine walks the class it is
-    # handed: the first `_Engine.pairs` call under each `orbit_pairs` call
-    # (the ones below it fill the support levels).
-    walks = Counter()
-    walked = Counter()
-    armed = False
-    real_pairs = _Engine.pairs
-
-    def recording(self, c, pinned=0):
-        nonlocal armed
-        if armed:
-            armed = False
-            walked[c] += 1
-        return real_pairs(self, c, pinned)
-
-    def counting(surface, beta, table=None):
-        nonlocal armed
-        walks[beta.coeffs] += 1
-        armed = True
-        return orbit_pairs(surface, beta, table)
-
-    monkeypatch.setattr(_Engine, "pairs", recording)
-    monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
+    # handed.
+    recorded = record_walks(monkeypatch)
     result, identity = _check_sweep("quadric")
+    walks = Counter(recorded)
     assert result.status == identity.status == "pass"
     assert "27 classes examined" in result.justification
     assert len(walks) == sum(walks.values()) == 27
     assert all((b, a) in walks for a, b in walks)
-    assert walked == walks
 
 
 def test_sweep_reports_a_failed_walk(monkeypatch, capsys):

@@ -333,6 +333,35 @@ def test_cold_support_rows_match_the_scanning_engine():
     assert digest.hexdigest() == K4_N13_ROWS_SHA256
 
 
+# Computed by the engine that walked every ordered splitting in the
+# relations: the number of memo entries and the sha256 of
+# repr(sorted(memo.items())) after filling blp2:k=8 to anticanonical degree
+# 8, and the number and sha256 of the support_pairs of a few classes, in
+# the order they are yielded.
+K8_N8_MEMO = (599, "a37975a8e4fbce23dabc7df3968241b4909fd517269dac3a55b49d3891e909f3")
+ORDERED_PAIRS = (262, "243707c7757e3a9f9ba902c4abccee81d76f003761bc6a83501764c3968d5518")
+
+
+def test_memo_and_ordered_pairs_match_the_ordered_relations():
+    engine = _Engine(Surface.blowup(8))
+    engine.ensure(9, 8)
+    memo = sorted(engine.memo.items())
+    assert (len(memo), hashlib.sha256(repr(memo).encode()).hexdigest()) == K8_N8_MEMO
+    rows = []
+    for descriptor, coeffs in [
+        ("blp2:k=3", (7, 3, 2, 2)),
+        ("blp2:k=4", (7, 2, 2, 2, 2)),
+        ("p1xp1", (5, 4)),
+        ("p1xp1", (4, 5)),
+        ("blp2:k=0", (9,)),
+    ]:
+        surface = Surface.parse(descriptor)
+        pairs = support_pairs(surface, CurveClass(coeffs))
+        rows.append((descriptor, coeffs, [(b1.coeffs, n1, b2.coeffs, n2) for b1, n1, b2, n2 in pairs]))
+    pairs_digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (sum(len(pairs) for *_, pairs in rows), pairs_digest) == ORDERED_PAIRS
+
+
 # Computed by the two separate engines (blow-ups and quadric, with the plane
 # on its closed degree recursion) before they were merged into one: for each
 # (surface, bound), the row count and the sha256 of

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from delpezzo.errors import InvalidClass, NegativeCount, NonIntegralResult
-from delpezzo.genus0 import GwTable, n0, orbit_pairs, support_enumerate, support_pairs
+from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import (
     _Moments,
     _moments,
@@ -42,6 +42,7 @@ from delpezzo.genus2 import (
 from delpezzo.numerics import binomial
 from delpezzo.orbits import orbit_key, standard_form
 from delpezzo.surface import CurveClass, Surface
+from engine_walks import record_walks
 
 PLANE = Surface.blowup(0)
 QUADRIC = Surface.quadric()
@@ -557,14 +558,7 @@ def test_reports_agree_on_empty_and_warm_tables(surface, coeffs):
 @pytest.fixture
 def pair_walks(monkeypatch):
     """Records every splitting walk the genus-two module starts."""
-    walks = []
-
-    def counting(surface, beta, table=None):
-        walks.append(beta)
-        yield from orbit_pairs(surface, beta, table)
-
-    monkeypatch.setattr("delpezzo.genus2.orbit_pairs", counting)
-    return walks
+    return record_walks(monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -575,7 +569,7 @@ def test_report_and_reconcile_walk_the_splittings_once(pair_walks, surface, coef
     beta = CurveClass(coeffs)
     table = GwTable(surface=surface)
     genus2_report(surface, beta, table)
-    assert pair_walks == [beta]
+    assert pair_walks == [beta.coeffs]
     pair_walks.clear()
     reconcile(surface, beta, table)  # the table keeps the moments
     assert pair_walks == []
@@ -703,7 +697,7 @@ def test_a_report_of_the_swapped_bidegree_makes_no_walk(pair_walks):
     table = GwTable(surface=QUADRIC)
     report = genus2_report(QUADRIC, CurveClass((2, 3)), table)
     swapped = genus2_report(QUADRIC, CurveClass((3, 2)), table)
-    assert pair_walks == [CurveClass((3, 2))]
+    assert pair_walks == [(3, 2)]
     # The numbers are shared; the class and its warnings are each report's own.
     assert report.n2j == swapped.n2j == 960
     assert dataclasses.replace(report, beta=swapped.beta, warnings=()) == dataclasses.replace(
