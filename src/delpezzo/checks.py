@@ -261,7 +261,7 @@ def _check_sweep(scope: str) -> list[CheckResult]:
             n2j = moments.n2j(2)
             # The correction totals read the cusp and two-component counts,
             # so their exact divisions are checked here as well.
-            taut, _, _, _, cr_proof = moments.corrections()
+            taut, *_, cr_proof = moments.corrections()
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")
             continue

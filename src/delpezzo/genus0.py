@@ -38,7 +38,7 @@ On blow-ups the counts are invariant under the Weyl group W(E_k), which
 the permutations of the points and the quadratic Cremona transformation
 generate (Goettsche-Pandharipande).  So the memo is keyed by the standard
 form of a class, ``orbits.standard_form``: its orbit key carried down by
-Cremona steps, each of which strictly lowers the degree, to
+Cremona steps, each of which strictly lowers the degree, to d <= 0,
 m_1 + m_2 + m_3 <= d or fewer than three points.  A standard form with a
 multiplicity 0 or 1 loses that coefficient: forgetting a blown-up point
 off the curve, or trading a point of multiplicity one for a generic point
@@ -102,12 +102,12 @@ summand is not: it sums the summands of a pair and of its mirror, which
 with ``delta2 = delta - 1 - delta1`` and ``C(n, r) = C(n, n - r)`` reads
 ``C(delta-3, delta1-1)`` and ``C(delta-3, delta1-2)``, and halves the
 total, which counts both orders twice; the halving is exact and
-asserted.  ``support_pairs``, ``orbit_pairs`` and the swap test of the
-consistency suite keep the full ordered walk: the output lists every
-ordered pair, and the swap test compares the two orders of one walk,
-which a walk that built the mirrors would pass by construction.  The
-binomials are ``math.comb``, the two-point relation's from one row per
-relation, padded with zeros below the triangle.
+asserted.  ``support_pairs`` and the swap test of the consistency suite
+keep the full ordered walk: the output lists every ordered pair, and the
+swap test compares the two orders of one walk, which a walk that built
+the mirrors would pass by construction.  The binomials are
+``math.comb``, the two-point relation's from one row per relation,
+padded with zeros below the triangle.
 
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up.  ``standard_form`` runs a Cremona chain in a
@@ -147,7 +147,6 @@ from .numerics import from_decimal_string, to_decimal_string
 from .orbits import (
     Coeffs,
     block_sizes,
-    orbit_key,
     orbit_rows,
     placements,
     runs,
@@ -160,7 +159,6 @@ __all__ = [
     "n0",
     "support_enumerate",
     "support_pairs",
-    "orbit_pairs",
     "load_cache",
     "save_cache",
     "CACHE_VERSION",
@@ -424,7 +422,8 @@ class _Engine:
         if delta < 0:
             return 0
         if d == 1:
-            # A line through at most two of the blown-up points is unique.
+            # A line through at most two of the blown-up points is unique; on
+            # three or more points the key passes through at most one.
             return 1
         if ms and ms[-1] <= 1:
             return self.value(c[:-1])
@@ -635,25 +634,6 @@ def n0(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     return _engine(surface, table).value(beta.coeffs)
 
 
-def orbit_pairs(
-    surface: Surface, beta: CurveClass, table: GwTable | None = None
-) -> Iterator[Pair]:
-    """The splittings of the orbit key of ``beta``, one per orbit of the
-    permutations of points that fix it, on coefficient tuples.
-
-    Yields ``(weight, deg1, c1, n0(c1), c2, n0(c2))`` with ``weight`` the
-    orbit size and ``deg1`` the anticanonical degree of ``c1``.  A sum over
-    the ordered splittings of ``beta`` of a summand invariant under
-    permuting the points is the weighted sum over these.  The quadric has
-    no points, so the key is ``beta`` itself and every weight is 1.  This
-    is the full ordered walk, each order of a splitting walked on its own;
-    the engine's relations and the genus-two moments read its half walk
-    (``_Engine.pairs`` with ``half``) instead.
-    """
-    surface.check_class(beta)
-    return _engine(surface, table).pairs(orbit_key(beta.coeffs))
-
-
 def support_pairs(
     surface: Surface, beta: CurveClass, table: GwTable | None = None
 ) -> Iterator[tuple[CurveClass, int, CurveClass, int]]:
@@ -661,8 +641,8 @@ def support_pairs(
 
     Yields ``(beta1, n0(beta1), beta2, n0(beta2))``.  This is the sum range
     shared by every splitting formula downstream: terms outside it vanish.
-    It is the engine's full ordered walk (see :func:`orbit_pairs`) of
-    ``beta`` with every point pinned: each block of points is then a single
+    It is the engine's full ordered walk (``_Engine.pairs``) of ``beta``
+    with every point pinned: each block of points is then a single
     point, in any order, so every orbit is one ordered pair of weight 1,
     and both orders of every splitting are listed.
     """

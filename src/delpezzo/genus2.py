@@ -54,8 +54,8 @@ curve over the space of rational curves, and the correction components
 
 Cleared of denominators, ``cusp``, ``two_comp`` and ``n2j`` are each one
 integer division (``numerics.exact_quotient``), and a call evaluates each
-quantity once: ``genus2_report`` and ``reconcile`` read ``taut``, ``cusp``
-and ``two_comp`` once and form both correction totals from them, and the
+quantity once: ``genus2_report``, ``reconcile`` and ``cr_components`` read
+every correction term from ``_Moments.corrections``, and the
 moments validate the class once, by ``Surface.anticanonical_degree``,
 before reading ``beta^2`` off its coefficients.  The error naming the
 class and the rational is built only when a division leaves a remainder.
@@ -135,7 +135,8 @@ def _pair_terms(
 class _Moments:
     """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
     the formulas of the module docstring read; one member per quantity,
-    each evaluated anew on every access, so a caller reads each one once.
+    each evaluated anew on every access, so a caller reads each one once,
+    and :meth:`corrections`, the one place each correction term is written.
     Cleared of denominators, each quantity is one integer numerator over
     one denominator, so an integral one is a single
     ``numerics.exact_quotient``, which formats the error naming ``beta``
@@ -180,25 +181,27 @@ class _Moments:
         return exact_quotient(self.s0, 2, "two-component count", self.beta)
 
     def cr(self, variant: str) -> CrComponents:
-        if variant == "lemma":
-            n11 = 2 * self.taut
-        elif variant == "proof":
-            # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
-            # the evaluation term against the diagonal cycle vanishes identically.
-            n11 = 2 * self.taut + (2 * self.x1sq - 2 * self.x2) * self.n0
-        else:
+        """The correction components of one form, read off :meth:`corrections`."""
+        if variant not in ("lemma", "proof"):
             raise InvalidClass(f"unknown correction variant {variant!r}")
-        cusp = self.cusp
-        return CrComponents(n11=n11, n21x2=4 * cusp, n31x18=18 * cusp, n12=4 * self.two_comp)
+        _, _, _, n11, rest, extra, _, _ = self.corrections()
+        return CrComponents(n11 + extra if variant == "proof" else n11, *rest)
 
-    def corrections(self) -> tuple[Fraction, int, int, Fraction, Fraction]:
-        """``taut``, ``cusp``, ``two_comp`` and the correction totals
-        ``cr_lemma`` and ``cr_proof``, each quantity evaluated once: the
-        totals of :meth:`cr` are ``n11 + 22 cusp + 4 two_comp``, and the two
-        forms of ``n11`` differ by ``(2 x1^2 - 2 x2) n0``."""
+    def corrections(
+        self,
+    ) -> tuple[Fraction, int, int, Fraction, tuple[int, int, int], int, Fraction, Fraction]:
+        """``taut``, ``cusp``, ``two_comp``, the lemma form's ``n11``, the
+        other three correction components, what the proof form adds to
+        ``n11``, and the totals ``cr_lemma`` and ``cr_proof``, each quantity
+        evaluated once."""
         taut, cusp, two_comp = self.taut, self.cusp, self.two_comp
-        lemma = 2 * taut + (22 * cusp + 4 * two_comp)
-        return taut, cusp, two_comp, lemma, lemma + (2 * self.x1sq - 2 * self.x2) * self.n0
+        # taut * 2, not 2 * taut: Fraction's own multiply, not the reflected one.
+        n11, rest = taut * 2, (4 * cusp, 18 * cusp, 4 * two_comp)
+        # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
+        # the evaluation term against the diagonal cycle vanishes identically.
+        extra = (2 * self.x1sq - 2 * self.x2) * self.n0
+        lemma = n11 + sum(rest)
+        return taut, cusp, two_comp, n11, rest, extra, lemma, lemma + extra
 
     def n2j(self, aut_order: int) -> int:
         deg, x1sq = self.deg, self.x1sq
@@ -506,7 +509,7 @@ def genus2_report(
         table = GwTable(surface)
     moments = _moments(surface, beta, table)
     deg = moments.deg
-    taut, cusp, two_comp, cr_lemma, cr_proof = moments.corrections()
+    taut, cusp, two_comp, _, _, _, cr_lemma, cr_proof = moments.corrections()
     return Genus2Report(
         surface=surface,
         beta=beta,
@@ -568,7 +571,7 @@ def reconcile(
     _check_aut_order(aut_order)
     moments = _moments(surface, beta, table)
     rt = moments.rt2()
-    _, _, _, lemma, proof = moments.corrections()
+    *_, lemma, proof = moments.corrections()
     scaled = aut_order * moments.n2j(aut_order)
     return ReconcileReport(
         surface=surface,

@@ -9,9 +9,10 @@ indices, and the permutations within blocks are its stabiliser.
 
 With the quadratic transformation based at three points the permutations
 generate the Weyl group W(E_k), which preserves pairings, degrees and
-counts (Goettsche-Pandharipande).  ``standard_form`` follows a key down to
-the chamber; the genus-zero memo, the cache rows and the genus-two
-moments are keyed by it.
+counts (Goettsche-Pandharipande).  ``standard_form`` follows a key down by
+the steps at ``d >= 1`` to ``m_1 + m_2 + m_3 <= d``, fewer than three
+points, or ``d <= 0``, one key per orbit; the genus-zero memo, the cache
+rows and the genus-two moments are keyed by it.
 
 ``placements`` enumerates the ways to put the multiplicities of one
 representative on the points of another, one per orbit of that
@@ -38,17 +39,19 @@ def orbit_key(c: Coeffs) -> Coeffs:
 def standard_form(c: Coeffs) -> Coeffs:
     """The orbit key of ``c`` carried down by the quadratic transformation
     at its three largest multiplicities, re-sorted after each step, while
-    ``d >= 2`` and their excess ``x = m_1 + m_2 + m_3 - d`` is positive: a
+    ``d >= 1`` and their excess ``x = m_1 + m_2 + m_3 - d`` is positive: a
     member of the W(E_k)-orbit of ``c``, reached in finitely many steps of
     lower ``d``, and the key under which the genus-zero engine stores the
     count of every class that reaches it.
 
     The transformation sends ``(d; m_1, m_2, m_3, ...)`` to
     ``(2d - m_1 - m_2 - m_3; d - m_2 - m_3, d - m_1 - m_3, d - m_1 - m_2, ...)``,
-    which is ``x`` taken off ``d`` and off each of the three.  The steps
-    run in a loop, so a chain of any length costs no stack."""
+    which is ``x`` taken off ``d`` and off each of the three: at ``d = 1``
+    it takes ``(1; 1, 1, 0, ...)`` to the exceptional key ``(0; 0, ..., -1)``
+    and ``(1; 1, 1, 1, ...)`` to ``d = -1``, of count 0.  The steps run in
+    a loop, so a chain of any length costs no stack."""
     d, ms = c[0], sorted(c[1:], reverse=True)
-    while len(ms) >= 3 and d >= 2 and (x := ms[0] + ms[1] + ms[2] - d) > 0:
+    while len(ms) >= 3 and d >= 1 and (x := ms[0] + ms[1] + ms[2] - d) > 0:
         d -= x
         ms[0] -= x
         ms[1] -= x

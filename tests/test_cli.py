@@ -549,6 +549,35 @@ def test_orbit_inconsistent_cache_is_rebuilt(tmp_path, capsys):
     assert '"n0":"95"' not in cache.read_text()
 
 
+def test_count_writes_one_row_for_the_exceptional_orbit(tmp_path, capsys):
+    # The line through two points and the exceptional class share the
+    # standard form (0; 0, ..., -1): one row, not one per member.
+    cache = tmp_path / "k8.json"
+    code, _, _ = run(
+        capsys, "count", "genus2", "--surface", "blp2:k=8", "--class", "4,2,1,1,1,1,1,1,1",
+        "--cache", str(cache),
+    )
+    assert code == 0
+    rows = [row["class"] for row in json.loads(cache.read_text())["entries"]]
+    assert [0, 0, 0, 0, 0, 0, 0, 0, -1] in rows
+    assert [1, 1, 1, 0, 0, 0, 0, 0, 0] not in rows
+
+
+def test_cache_miscounting_the_exceptional_orbit_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "k8.json"
+    cache.write_text(
+        '{"version":1,"surface":"blp2:k=8","entries":['
+        '{"class":[1,1,1,0,0,0,0,0,0],"n0":"2"}]}'
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=8", "--class", "1,1,1,0,0,0,0,0,0",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (0, "1\n")
+    assert "ignoring unreadable cache" in err
+    assert '"n0":"2"' not in cache.read_text()
+
+
 def test_quadric_cache_listing_a_class_twice_is_rebuilt(tmp_path, capsys):
     cache = tmp_path / "q.json"
     cache.write_text(

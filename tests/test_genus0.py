@@ -41,7 +41,6 @@ from delpezzo.genus0 import (
     _Engine,
     load_cache,
     n0,
-    orbit_pairs,
     save_cache,
     support_enumerate,
     support_pairs,
@@ -50,6 +49,7 @@ from delpezzo.genus2 import genus2_report
 from delpezzo.orbits import orbit_key, standard_form
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
 from blowup_point import append_coefficient
+from engine_walks import ordered_orbit_pairs
 from recursion_limit import recursion_margin
 from splitting_box import splittings
 
@@ -336,17 +336,29 @@ def test_cold_support_rows_match_the_scanning_engine():
 # Computed by the engine that walked every ordered splitting in the
 # relations: the number of memo entries and the sha256 of
 # repr(sorted(memo.items())) after filling blp2:k=8 to anticanonical degree
-# 8, and the number and sha256 of the support_pairs of a few classes, in
-# the order they are yielded.
+# 8, when the line through two points (1; 1, 1, 0, ...) of each rank 4..9
+# was a key of its own, and the number and sha256 of the support_pairs of a
+# few classes, in the order they are yielded.
 K8_N8_MEMO = (599, "a37975a8e4fbce23dabc7df3968241b4909fd517269dac3a55b49d3891e909f3")
+# The same fill once the Cremona step at d = 1 took each of those lines to
+# the exceptional key (0; 0, ..., -1) of its rank.
+K8_N8_MEMO_JOINED = (593, "a414e1b18f5e0feefd1a835c3da311b83000e25e787b9040efcc94db208dad58")
 ORDERED_PAIRS = (262, "243707c7757e3a9f9ba902c4abccee81d76f003761bc6a83501764c3968d5518")
 
 
 def test_memo_and_ordered_pairs_match_the_ordered_relations():
     engine = _Engine(Surface.blowup(8))
     engine.ensure(9, 8)
-    memo = sorted(engine.memo.items())
-    assert (len(memo), hashlib.sha256(repr(memo).encode()).hexdigest()) == K8_N8_MEMO
+    lines = [(1, 1, 1, *(0,) * (rank - 3)) for rank in range(4, 10)]
+    assert not engine.memo.keys() & set(lines)
+    assert all(engine.memo[(*(0,) * (rank - 1), -1)] == 1 for rank in range(4, 10))
+    # Each line, of count 1, added back gives the memo of the separate keys.
+    for memo, pin in (
+        (engine.memo, K8_N8_MEMO_JOINED),
+        ({**engine.memo, **dict.fromkeys(lines, 1)}, K8_N8_MEMO),
+    ):
+        memo = sorted(memo.items())
+        assert (len(memo), hashlib.sha256(repr(memo).encode()).hexdigest()) == pin
     rows = []
     for descriptor, coeffs in [
         ("blp2:k=3", (7, 3, 2, 2)),
@@ -434,18 +446,40 @@ def cremona(c: tuple[int, ...]) -> tuple[int, ...]:
 def test_standard_form_is_the_chain_of_quadratic_transformations():
     # Every orbit key with d <= 6 on up to six points, multiplicities in
     # [-2, d + 1]: the transformation at the three largest multiplicities,
-    # re-sorted, until d < 2 or m1 + m2 + m3 <= d.
+    # re-sorted, until d < 1 or m1 + m2 + m3 <= d.
     keys = 0
     for k in range(7):
         for d in range(-1, 7):
             for ms in itertools.combinations_with_replacement(range(d + 1, -3, -1), k):
                 c = (d, *ms)
-                while k >= 3 and c[0] >= 2 and sum(c[1:4]) > c[0]:
+                while k >= 3 and c[0] >= 1 and sum(c[1:4]) > c[0]:
                     c = orbit_key(cremona(c))
                 assert standard_form((d, *ms)) == c
                 assert standard_form((d, *ms[::-1])) == c
                 keys += 1
     assert keys == 19412
+
+
+def test_a_quadratic_transformation_keeps_the_standard_form():
+    # Every candidate of blp2:k=3..8 up to a small anticanonical degree and
+    # its image under the transformation at any three points, where that has
+    # d >= 0: one W(E_k)-orbit, so one standard form.  Degree 1 holds the
+    # exceptional classes (0; 0, ..., -1) and the lines (1; 1, 1, 0, ...),
+    # which the transformation at their points exchanges.
+    pairs = exchanged = 0
+    for k, bound in zip(range(3, 9), (8, 7, 6, 5, 5, 4)):
+        triples = list(itertools.combinations(range(1, k + 1), 3))
+        for degree in range(1, bound + 1):
+            for c in _blowup_candidates(k + 1, degree):
+                key = standard_form(c)
+                for i, j, l in triples:
+                    x = c[i] + c[j] + c[l] - c[0]
+                    image = tuple(v - x if p in (0, i, j, l) else v for p, v in enumerate(c))
+                    if image[0] >= 0:
+                        assert standard_form(image) == key, (c, image)
+                        pairs += 1
+                        exchanged += {c[0], image[0]} == {0, 1}
+    assert (pairs, exchanged) == (29122, 77)
 
 
 def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
@@ -784,7 +818,7 @@ def test_blowup_memo_holds_orbit_representatives():
 def test_quadric_orbit_pairs_split_the_class_given():
     # The quadric has no points, so the orbit key of (2, 3) is (2, 3) itself,
     # not its sorted swap: every pair is a splitting of the class asked for.
-    pairs = list(orbit_pairs(QUADRIC, CurveClass((2, 3))))
+    pairs = list(ordered_orbit_pairs(QUADRIC, CurveClass((2, 3))))
     assert len(pairs) > 0
     assert all(weight == 1 for weight, *_ in pairs)
     assert all(tuple(map(add, c1, c2)) == (2, 3) for _, _, c1, _, c2, _ in pairs)
@@ -1056,6 +1090,8 @@ BASE_CASE_ROWS = [
                  id="exceptional"),
     pytest.param("blp2:k=3", [2, 1, 1, 1], 5, [1, 0, 0, 0], 1, id="conic-to-line"),
     pytest.param("blp2:k=3", [1, 1, 0, 0], 2, [1, 1, 0, 0], 1, id="line"),
+    pytest.param("blp2:k=8", [1, 1, 1, 0, 0, 0, 0, 0, 0], 2, [0, 0, 0, 0, 0, 0, 0, 0, -1], 1,
+                 id="line-to-exceptional"),
     pytest.param("blp2:k=2", [0, 0, 0], 5, [0, 0, 0], 0, id="zero-class"),
     pytest.param("blp2:k=2", [0, -1, -1], 1, [0, -1, -1], 0, id="two-exceptional"),
     pytest.param("p1xp1", [0, 1], 4, [1, 0], 1, id="ruling"),
@@ -1123,6 +1159,32 @@ def test_cache_rows_of_one_standard_form_must_agree(tmp_path):
     table = load_cache(path)
     assert dict(table.entries) == {CurveClass((2, 1, 0, 0, 0)): 1}
     assert n0(Surface.blowup(4), CurveClass((4, 2, 2, 2, 1)), table) == 1
+
+
+def test_cache_rows_of_the_exceptional_orbit_load_as_one(tmp_path):
+    # The line through two points and the exceptional class are one orbit
+    # of W(E_8), joined by the transformation at d = 1.  A file that lists
+    # both loads as one entry, gives the same answers, and is left as it is
+    # by a save that learns nothing; a save that learns a count writes the
+    # standard form alone.
+    surface = Surface.blowup(8)
+    exceptional, line = (0, 0, 0, 0, 0, 0, 0, 0, -1), (1, 1, 1, 0, 0, 0, 0, 0, 0)
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps({"version": 1, "surface": "blp2:k=8", "entries": [
+        {"class": list(c), "n0": "1"} for c in (exceptional, line)
+    ]}))
+    before = path.read_bytes()
+    table = load_cache(path)
+    assert dict(table.entries) == {CurveClass(exceptional): 1}
+    for coeffs in (exceptional, line, (1, 0, 1, 0, 0, 0, 0, 1, 0), (1, 1, 1, 1, 0, 0, 0, 0, 0)):
+        beta = CurveClass(coeffs)
+        assert n0(surface, beta, table) == n0(surface, beta)
+    save_cache(table, path)
+    assert path.read_bytes() == before
+    n0(surface, CurveClass((4, 2, 1, 1, 1, 1, 1, 1, 1)), table)
+    save_cache(table, path)
+    rows = [row["class"] for row in json.loads(path.read_text())["entries"]]
+    assert list(exceptional) in rows and list(line) not in rows
 
 
 def _saved_table(tmp_path):

@@ -17,11 +17,12 @@ from collections import Counter
 
 import pytest
 
-from delpezzo.genus0 import GwTable, n0, orbit_pairs, support_pairs
+from delpezzo.genus0 import GwTable, n0, support_pairs
 from delpezzo.genus2 import _moments, _pair_terms, _sums
 from delpezzo.numerics import binomial
 from delpezzo.orbits import orbit_key
 from delpezzo.surface import CurveClass, Surface
+from engine_walks import ordered_orbit_pairs
 from splitting_box import splittings
 
 # Classes with repeated multiplicities on k = 3..8 points, small enough for
@@ -63,7 +64,7 @@ def test_expanded_orbit_pairs_match_the_box(k, coeffs):
     expanded = Counter(
         (b1.coeffs, n1, b2.coeffs, n2) for b1, n1, b2, n2 in support_pairs(surface, beta, table)
     )
-    orbits = list(orbit_pairs(surface, beta, table))
+    orbits = list(ordered_orbit_pairs(surface, beta, table))
     assert expanded == box
     assert len(orbits) < sum(box.values())  # the stabiliser is not trivial here
 
@@ -74,7 +75,8 @@ def test_orbit_weights_count_their_members(k, coeffs):
     surface, key = Surface.blowup(k), orbit_key(coeffs)
     table = GwTable(surface=surface)
     covered = set()
-    for weight, degree1, c1, n1, c2, n2 in orbit_pairs(surface, CurveClass(coeffs), table):
+    walk = ordered_orbit_pairs(surface, CurveClass(coeffs), table)
+    for weight, degree1, c1, n1, c2, n2 in walk:
         images = _stabiliser_images(key, c1)
         assert weight == len(images)
         assert not images & covered  # one pair per orbit
