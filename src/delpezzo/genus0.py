@@ -301,6 +301,25 @@ class _Engine:
             cached = self.memo[key] = self.lattice.reduce(self, key)
         return cached
 
+    def seed(self, c: Coeffs, value: int) -> None:
+        """Store a count from outside the engine, a table entry or a cache
+        row, at the standard form of ``c``.  A base case must carry the
+        engine's count and two counts of one orbit must agree, or
+        InvalidClass names ``c``; a key that needs the drop rule or a
+        relation is trusted."""
+        key = self.lattice.key(c)
+        known = self.lattice.reduce(self, key, False)
+        if known is not None and known != value:
+            raise InvalidClass(
+                f"class {list(c)} has count {value}, but its orbit"
+                f" (standard form {list(key)}) has {known}"
+            )
+        if (held := self.memo.setdefault(key, value)) != value:
+            raise InvalidClass(
+                f"class {list(c)} has count {value}, but an earlier row of its"
+                f" orbit (standard form {list(key)}) has {held}"
+            )
+
     def pairs(self, c: Coeffs, pinned: int = 0, half: bool = False) -> Iterator[Pair]:
         """Ordered splittings of ``c`` into two classes with nonzero counts,
         one per orbit of the permutations of points that fix ``c`` and its
@@ -409,7 +428,10 @@ class _Engine:
 
     # -- reduction pipelines -------------------------------------------------
 
-    def _reduce_blowup(self, c: Coeffs) -> int:
+    # With ``relations`` false a pipeline returns its base-case count, or
+    # None where the drop rule or a relation would run (see ``seed``).
+
+    def _reduce_blowup(self, c: Coeffs, relations: bool = True) -> int | None:
         d, ms = c[0], c[1:]
         if d < 0:
             return 0
@@ -418,13 +440,15 @@ class _Engine:
             return 1 if exceptional else 0
         if ms and (ms[-1] < 0 or ms[0] > d):
             return 0
-        delta = _blowup_degree(c) - 1
+        delta = 3 * d - sum(ms) - 1
         if delta < 0:
             return 0
         if d == 1:
             # A line through at most two of the blown-up points is unique; on
             # three or more points the key passes through at most one.
             return 1
+        if not relations:
+            return None
         if ms and ms[-1] <= 1:
             return self.value(c[:-1])
         if delta >= 3:
@@ -433,7 +457,7 @@ class _Engine:
             return self._four_divisor_relation(c, delta)
         raise RecursionFailure(f"no reduction applies to {c}")
 
-    def _reduce_quadric(self, c: Coeffs) -> int:
+    def _reduce_quadric(self, c: Coeffs, relations: bool = True) -> int | None:
         a, b = c  # a >= b: the memo key
         if b < 0:
             return 0
@@ -442,7 +466,7 @@ class _Engine:
         if b == 0:
             # Multiple covers of a ruling never pass through enough points.
             return 0
-        return self._two_point_relation(c, 2 * a + 2 * b - 1)
+        return self._two_point_relation(c, 2 * a + 2 * b - 1) if relations else None
 
     # -- relations -----------------------------------------------------------
 
@@ -503,9 +527,7 @@ class _Lattice:
     degree: Callable[[Coeffs], int]  # anticanonical degree
     candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> representatives
     rows: Callable[[Iterable[tuple[Coeffs, int]]], list[tuple[Coeffs, int]]]  # orbits -> members
-    reduce: Callable[[_Engine, Coeffs], int]  # pipeline on a key
-    # (i, top): reduce settles the keys with c[i] <= top without a relation
-    settled: tuple[int, int]
+    reduce: Callable[..., int | None]  # (engine, key, relations=True): pipeline on a key
     walk: Callable[[_Engine, Coeffs, int, int, bool], Iterator[Pair]]  # (c, degree, pinned, half)
     two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
@@ -517,7 +539,6 @@ _BLOWUPS = _Lattice(
     rows=orbit_rows,
     reduce=_Engine._reduce_blowup,
     walk=_Engine._orbit_walk,
-    settled=(0, 1),
     two_point=(0, 0),
 )
 _QUADRIC = _Lattice(
@@ -527,7 +548,6 @@ _QUADRIC = _Lattice(
     rows=list,
     reduce=_Engine._reduce_quadric,
     walk=_Engine._bidegree_walk,
-    settled=(1, 0),
     two_point=(1, 0),
 )
 
@@ -568,9 +588,10 @@ class GwTable:
     class that is not a standard form.  The memo is seeded by standard
     form, so ``entries`` passed in that list other members load as well.
     Each entry passed in must be a class of the surface with a positive
-    int count, the members of one orbit must agree, and a member of an
-    orbit the engine settles without a relation (``_Lattice.settled``)
-    must carry that count.  Tables round-trip through the JSON cache files.
+    int count; then ``_Engine.seed`` checks it as it checks a cache row:
+    the members of one orbit must agree, and a member of an orbit the
+    engine settles without a relation must carry that count.  Tables
+    round-trip through the JSON cache files.
     """
 
     def __init__(
@@ -581,27 +602,14 @@ class GwTable:
         # (absolute path, len(entries)) of the cache file the table was last
         # loaded from or saved to, for save_cache to skip an unchanged table.
         self._stored: tuple[str, int] | None = None
-        engine = self._engine
-        memo, lattice = engine.memo, engine.lattice
-        i, top = lattice.settled
+        seed = self._engine.seed
         for cls, value in (entries or {}).items():
-            # The memo is keyed by standard form and read by every reduction,
-            # so a row of another rank or a wrong count would answer for others.
+            # An entry of another rank would answer for the classes of its rank.
             surface.check_class(cls)
             # type() also rules out True, which compares equal to 1.
             if type(value) is not int or value <= 0:
                 raise InvalidClass(f"class {cls} has count {value!r}, not a positive int")
-            orbit = lattice.key(cls.coeffs)
-            if orbit[i] <= top and (known := lattice.reduce(engine, orbit)) != value:
-                raise InvalidClass(
-                    f"class {cls} has count {value}, but its orbit"
-                    f" (standard form {CurveClass(orbit)}) has {known}"
-                )
-            if memo.setdefault(orbit, value) != value:
-                raise InvalidClass(
-                    f"class {cls} has count {value}, but an earlier entry of its"
-                    f" orbit (standard form {CurveClass(orbit)}) has {memo[orbit]}"
-                )
+            seed(cls.coeffs, value)
 
     @property
     def entries(self) -> Mapping[CurveClass, int]:
@@ -701,10 +709,10 @@ def save_cache(table: GwTable, path: str | Path) -> None:
     concurrent run added to the file.  Otherwise a file that already holds
     exactly these bytes is left untouched.  A save that writes keeps what
     a concurrent run added: the rows of the file it replaces that the
-    table lacks go into the new file too, provided that file passes
-    ``load_cache``'s checks, belongs to the table's surface, and agrees
-    with every count the table holds, zeros included.  An unreadable,
-    mismatched or conflicting file is overwritten from the table alone.
+    table lacks go into the new file too, provided ``load_cache`` accepts
+    that file, it belongs to the table's surface, and it agrees with every
+    count the table holds, zeros included.  An unreadable, mismatched or
+    conflicting file is overwritten from the table alone.
     The table itself is not changed.  A failed write raises and records
     nothing, so the next save tries again."""
     where = os.path.abspath(path)
@@ -720,8 +728,8 @@ def save_cache(table: GwTable, path: str | Path) -> None:
         found = None  # missing or unreadable: write it
     if found is not None and found != text.encode():
         try:
-            theirs = _parse_cache(found.decode(), path)
-        except (DelPezzoError, UnicodeDecodeError):
+            theirs = load_cache(path)
+        except DelPezzoError:
             theirs = None
         if theirs is not None and theirs.surface == table.surface:
             memo = table._engine.memo
@@ -745,18 +753,14 @@ def save_cache(table: GwTable, path: str | Path) -> None:
 
 
 def load_cache(path: str | Path) -> GwTable:
+    """The one reader of cache files, which ``save_cache`` uses too: each
+    row seeds the table through ``_Engine.seed``.  A file that cannot be
+    read, is not as ``save_cache`` writes it or fails a seed raises
+    CacheFormatError; a row of another rank raises SurfaceMismatch."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheFormatError(f"cache file {path} cannot be read: {exc}") from exc
-    table = _parse_cache(text, path)
-    table._stored = (os.path.abspath(path), len(table._engine.memo))  # every row has the rank
-    return table
-
-
-def _parse_cache(text: str, path: str | Path) -> GwTable:
-    """The table a cache file's ``text`` holds, after every check of
-    :func:`load_cache`; ``path`` names the file in the errors."""
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -781,11 +785,8 @@ def _parse_cache(text: str, path: str | Path) -> GwTable:
     rows = document["entries"]
     if not isinstance(rows, list):
         raise CacheFormatError(f"cache file {path}: entries must be a list")
-    # The rows seed the table's memo directly, each at its standard form.
     table = GwTable(surface=surface)
-    engine = table._engine
-    memo, lattice = engine.memo, engine.lattice
-    i, top = lattice.settled
+    seed = table._engine.seed
     rank = surface.rank
     for row in rows:
         if not isinstance(row, dict) or "class" not in row or "n0" not in row:
@@ -813,20 +814,9 @@ def _parse_cache(text: str, path: str | Path) -> GwTable:
             raise CacheFormatError(
                 f"cache file {path}: class {vector} has count {value}, not positive"
             )
-        orbit = lattice.key(tuple(vector))
-        # A key the engine settles without a relation has a known count,
-        # and a row for it would answer in the engine's place.
-        if orbit[i] <= top and (known := lattice.reduce(engine, orbit)) != value:
-            raise CacheFormatError(
-                f"cache file {path}: class {vector} has count {value}, but"
-                f" its orbit (standard form {list(orbit)}) has {known}"
-            )
-        # Counts are invariant under W(E_k) and under swapping the rulings,
-        # and the memo is keyed by standard form: the rows of one orbit, and
-        # the rows of a class listed twice, must agree.
-        if memo.setdefault(orbit, value) != value:
-            raise CacheFormatError(
-                f"cache file {path}: class {vector} has count {value}, but"
-                f" an earlier row of its orbit (standard form {list(orbit)}) has {memo[orbit]}"
-            )
+        try:
+            seed(tuple(vector), value)
+        except InvalidClass as exc:
+            raise CacheFormatError(f"cache file {path}: {exc}") from None
+    table._stored = (os.path.abspath(path), len(table._engine.memo))  # every row has the rank
     return table

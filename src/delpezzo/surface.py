@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import mul
+from operator import index, mul
 from typing import Callable
 
 from .errors import InvalidClass, RankMismatch, RankOverflow
-from .numerics import exact_quotient
+from .numerics import exact_quotient, from_decimal_string
 
 __all__ = ["Surface", "CurveClass", "MAX_BLOWUPS", "quadric_to_blowup_class"]
 
@@ -60,17 +60,23 @@ class CurveClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(map(int, self.coeffs))
+        # index() takes ints and bools but refuses floats, strings and
+        # Fractions, which int() would truncate or parse.
+        try:
+            coeffs = tuple(map(index, self.coeffs))
+        except TypeError:
+            raise InvalidClass(f"curve class needs integer coefficients: {self.coeffs!r}") from None
         if not coeffs:
             raise InvalidClass("curve class needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def parse(cls, text: str) -> CurveClass:
-        """Parse comma-separated integers, e.g. ``"4,2,2"``."""
-        parts = [p.strip() for p in text.split(",")]
+        """Parse comma-separated integers, e.g. ``"4,2,2"``, each written as
+        ``str`` writes it (``numerics.from_decimal_string``), with spaces
+        allowed around the commas."""
         try:
-            coeffs = tuple(int(p) for p in parts)
+            coeffs = tuple(from_decimal_string(p.strip()) for p in text.split(","))
         except ValueError:
             raise InvalidClass(f"cannot parse curve class {text!r}") from None
         return cls(coeffs)

@@ -273,6 +273,14 @@ def test_bad_class_vector_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("vector", ["1_0,0", "\u0661,0"], ids=["underscore", "arabic-indic"])
+def test_class_vector_written_otherwise_than_str_writes_it_is_usage_error(capsys, vector):
+    # int() would read 1_0 as 10 and the Arabic-Indic one as 1.
+    code, out, err = run(capsys, "count", "genus0", "--surface", "blp2:k=1", "--class", vector)
+    assert (code, out) == (1, "")
+    assert "cannot parse curve class" in err
+
+
 def test_odd_aut_is_usage_error(capsys):
     code, _, err = run(
         capsys, "count", "genus2", "--surface", "blp2:k=0", "--class", "4", "--aut", "3"
@@ -576,6 +584,19 @@ def test_cache_miscounting_the_exceptional_orbit_is_rebuilt(tmp_path, capsys):
     assert (code, out) == (0, "1\n")
     assert "ignoring unreadable cache" in err
     assert '"n0":"2"' not in cache.read_text()
+
+
+def test_cache_miscounting_a_class_of_count_zero_is_rebuilt(tmp_path, capsys):
+    # No conic has a point of multiplicity three: the count is 0.
+    cache = tmp_path / "k2.json"
+    cache.write_text('{"version":1,"surface":"blp2:k=2","entries":[{"class":[2,3,0],"n0":"5"}]}')
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=2", "--class", "2,3,0",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (0, "0\n")
+    assert "ignoring unreadable cache" in err
+    assert '"n0":"5"' not in cache.read_text()
 
 
 def test_quadric_cache_listing_a_class_twice_is_rebuilt(tmp_path, capsys):

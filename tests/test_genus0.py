@@ -1076,15 +1076,16 @@ def test_table_entries_that_are_not_positive_ints_are_rejected(count):
 def test_table_entries_disagreeing_within_an_orbit_are_rejected(surface, first, second):
     with pytest.raises(InvalidClass) as info:
         GwTable(surface, {CurveClass(first): 5, CurveClass(second): 6})
-    assert (f"class {CurveClass(second)} has count 6, but an earlier entry of its"
-            f" orbit (standard form {CurveClass(first)}) has 5") == str(info.value)
+    assert (f"class {list(second)} has count 6, but an earlier row of its"
+            f" orbit (standard form {list(first)}) has 5") == str(info.value)
     agreeing = GwTable(surface, {CurveClass(first): 5, CurveClass(second): 5})
     assert dict(agreeing.entries) == {CurveClass(first): 5}
 
 
 # Rows whose standard form the engine settles without a relation, with a
-# count other than the one it settles them to: d <= 1 on blow-ups (the
-# exceptional classes, lines, and the zero class), (a, 0) on the quadric.
+# count other than the one it settles them to: on blow-ups d <= 1 (the
+# exceptional classes, lines, and the zero class), a multiplicity above d
+# or below 0 (count 0), on the quadric (a, 0).
 BASE_CASE_ROWS = [
     pytest.param("blp2:k=8", [0, 0, 0, 0, 0, 0, 0, 0, -1], 3, [0, 0, 0, 0, 0, 0, 0, 0, -1], 1,
                  id="exceptional"),
@@ -1094,6 +1095,8 @@ BASE_CASE_ROWS = [
                  id="line-to-exceptional"),
     pytest.param("blp2:k=2", [0, 0, 0], 5, [0, 0, 0], 0, id="zero-class"),
     pytest.param("blp2:k=2", [0, -1, -1], 1, [0, -1, -1], 0, id="two-exceptional"),
+    pytest.param("blp2:k=2", [2, 3, 0], 5, [2, 3, 0], 0, id="multiplicity-above-degree"),
+    pytest.param("blp2:k=3", [3, -1, 0, 0], 7, [3, 0, 0, -1], 0, id="negative-multiplicity"),
     pytest.param("p1xp1", [0, 1], 4, [1, 0], 1, id="ruling"),
     pytest.param("p1xp1", [3, 0], 2, [3, 0], 0, id="ruling-cover"),
 ]
@@ -1125,9 +1128,32 @@ def test_table_entries_must_carry_the_count_of_a_base_case(descriptor, row, coun
     with pytest.raises(InvalidClass) as info:
         GwTable(surface, {CurveClass(tuple(row)): count})
     assert str(info.value) == (
-        f"class {CurveClass(tuple(row))} has count {count}, but its orbit"
-        f" (standard form {CurveClass(tuple(standard))}) has {known}"
+        f"class {row} has count {count}, but its orbit (standard form {standard}) has {known}"
     )
+
+
+# Every base-case row that a table can hold, and two orbit conflicts.
+SEED_CONFLICTS = [
+    pytest.param(row.values[0], [(row.values[1], row.values[2])], id=row.id)
+    for row in BASE_CASE_ROWS if any(row.values[1])  # the zero class is no class
+] + [
+    pytest.param("blp2:k=4", [([2, 1, 0, 0, 0], 1), ([4, 2, 2, 2, 1], 2)], id="orbit-conflict"),
+    pytest.param("p1xp1", [([3, 2], 5), ([2, 3], 6)], id="quadric-orbit-conflict"),
+]
+
+
+@pytest.mark.parametrize("descriptor, rows", SEED_CONFLICTS)
+def test_table_entries_and_cache_rows_are_refused_in_the_same_words(tmp_path, descriptor,
+                                                                      rows):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"version": 1, "surface": descriptor, "entries": [
+        {"class": row, "n0": str(count)} for row, count in rows
+    ]}))
+    with pytest.raises(CacheFormatError) as from_file:
+        load_cache(path)
+    with pytest.raises(InvalidClass) as from_table:
+        GwTable(Surface.parse(descriptor), {CurveClass(tuple(row)): count for row, count in rows})
+    assert str(from_file.value) == f"cache file {path}: {from_table.value}"
 
 
 def test_base_case_rows_with_their_count_load():
@@ -1299,11 +1325,13 @@ def _k2_file(rows: str) -> str:
     [
         _k2_file('{"class":[3,1,1],"n0":"13"},{"class":[6,3,3],"n0":"5"}'),  # a count differs
         _k2_file('{"class":[3,3,0],"n0":"7"},{"class":[6,3,3],"n0":"5"}'),  # the table has 0
+        _k2_file('{"class":[2,3,0],"n0":"5"},{"class":[6,3,3],"n0":"5"}'),  # a base case has 0
         '{"version":1,"surface":"blp2:k=3","entries":[{"class":[6,3,3,1],"n0":"5"}]}',
         '{"version":1,"surface":"blp2:k=2","entries":[{"class":[6,3,3],"n0":"05"}]}',
         "not json",
     ],
-    ids=["conflict", "zero-conflict", "other-surface", "unreadable-row", "unreadable"],
+    ids=["conflict", "zero-conflict", "base-case", "other-surface", "unreadable-row",
+         "unreadable"],
 )
 def test_a_file_that_cannot_be_merged_is_overwritten_from_the_table(tmp_path, found):
     surface = Surface.blowup(2)

@@ -1,5 +1,7 @@
 """Lattice layer: classes, pairings, descriptors, and the splitting oracle."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -37,6 +39,21 @@ def test_class_needs_a_coefficient():
         CurveClass(())
     with pytest.raises(InvalidClass):
         CurveClass([])
+
+
+@pytest.mark.parametrize("text", ["1_0,0", "\u0661,0", "+3,1", "03,1", "-0,1", "3,,1"],
+                         ids=["underscore", "arabic-indic-digit", "plus", "leading-zero",
+                              "minus-zero", "empty-part"])
+def test_class_parse_reads_only_what_str_writes(text):
+    with pytest.raises(InvalidClass, match="cannot parse curve class"):
+        CurveClass.parse(text)
+
+
+@pytest.mark.parametrize("coefficient", [2.7, 3.0, "3", Fraction(3)],
+                         ids=["float", "integral-float", "string", "fraction"])
+def test_class_coefficients_that_are_not_integers_are_rejected(coefficient):
+    with pytest.raises(InvalidClass, match="integer coefficients"):
+        CurveClass((coefficient, 1))
 
 
 def test_class_coefficients_normalise_to_an_int_tuple():
