@@ -113,9 +113,11 @@ The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up.  ``standard_form`` runs a Cremona chain in a
 loop, so only the drop nests one ``reduce`` in another, and it removes a
 point: a chain nests about one ``reduce`` per point, and the deepest
-chain of a ``blp2:k=8`` fill to anticanonical degree 10 nests 10.  All
-divisions are exact and asserted; a failed division or a reduction that
-applies to nothing raises RecursionFailure instead of returning a wrong
+chain of a ``blp2:k=8`` fill to anticanonical degree 10 nests 10.  Each
+relation ends in one division by its leading coefficient, which the theory
+promises exact.  It goes through ``numerics.exact_quotient``: a remainder
+raises NonIntegralResult naming the relation and the class.  A reduction
+that applies to nothing raises RecursionFailure.  Neither returns a wrong
 number.
 
 One engine class serves every surface through a small per-lattice record
@@ -132,7 +134,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
-from operator import sub
+from operator import index, sub
 from pathlib import Path
 from typing import Callable
 
@@ -143,7 +145,7 @@ from .errors import (
     RecursionFailure,
     SurfaceMismatch,
 )
-from .numerics import from_decimal_string, to_decimal_string
+from .numerics import exact_quotient, from_decimal_string, to_decimal_string
 from .orbits import (
     Coeffs,
     block_sizes,
@@ -493,10 +495,7 @@ class _Engine:
             )
             total += weight * n1 * n2 * pairing * term
         # The weights count both orders of each splitting, and so does term.
-        count, remainder = divmod(total, 2)
-        if remainder:
-            raise RecursionFailure(f"two-point relation left remainder at {c}")
-        return count
+        return exact_quotient(total, 2, "two-point relation", c)
 
     def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
         # (A, B, C, D) = (e_a, e_b, e^a, e^b) summed over a basis and its
@@ -513,10 +512,7 @@ class _Engine:
                 continue
             bracket = dot(c1, c1) * dot(c2, c2) - pairing * pairing
             total += comb(delta - 1, degree1 - 1) * weight * n1 * n2 * pairing * bracket
-        quotient, remainder = divmod(total, kappa)
-        if remainder:
-            raise RecursionFailure(f"four-divisor relation left remainder at {c}")
-        return quotient
+        return exact_quotient(total, kappa, "four-divisor relation", c)
 
 
 @dataclass(frozen=True)
@@ -665,8 +661,12 @@ def support_enumerate(
     """All classes with nonzero count and anticanonical degree up to the
     bound, sorted lexicographically by coefficient vector.  The support
     levels hold one representative per orbit; every member is listed."""
+    try:
+        max_anticanonical_degree = index(max_anticanonical_degree)
+    except TypeError:
+        max_anticanonical_degree = 0
     if max_anticanonical_degree < 1:
-        raise InvalidClass("the anticanonical degree bound must be at least 1")
+        raise InvalidClass("the anticanonical degree bound must be an integer of at least 1")
     engine = _engine(surface, table)
     engine.ensure(surface.rank, max_anticanonical_degree)
     rows = engine.lattice.rows(

@@ -74,11 +74,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import index
 from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, _engine, n0
-from .numerics import binomial, exact_quotient, to_decimal_string, to_integer
+from .numerics import exact_quotient, to_decimal_string
 from .orbits import Coeffs, orbit_key
 from .surface import CurveClass, Surface
 
@@ -121,7 +122,8 @@ def _pair_terms(
     the unchecked pairing ``Surface._dot``.  The rest follows from
     additivity of the degree: ``deg2 = deg - deg1`` and
     ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``, which
-    ``math.comb`` gives without the checks of ``numerics.binomial``.
+    ``math.comb`` gives inside the triangle, since both parts have
+    ``deg1, deg2 >= 1``.
     """
     deg = surface.anticanonical_degree(beta)
     dot = surface._dot
@@ -334,11 +336,18 @@ def cr_total(
     return cr_components(surface, beta, table, variant).total
 
 
-def _check_aut_order(aut_order: int) -> None:
-    if aut_order < 2 or aut_order % 2:
+def _check_aut_order(aut_order: int) -> int:
+    """``aut_order`` as an int.  index() refuses floats, strings, None and
+    Fractions, which would turn the counts into floats or fail inside them."""
+    try:
+        value = index(aut_order)
+    except TypeError:
+        value = 0
+    if value < 2 or value % 2:
         raise InvalidClass(
-            f"the automorphism order must be a positive even integer, got {aut_order}"
+            f"the automorphism order must be a positive even integer, got {aut_order!r}"
         )
+    return value
 
 
 def n2j_main(
@@ -351,8 +360,7 @@ def n2j_main(
     class, through ``delta - 1`` generic points.  See the module docstring
     for the closed formula; the result must be integral and is asserted so.
     """
-    _check_aut_order(aut_order)
-    return _moments(surface, beta, table).n2j(aut_order)
+    return _moments(surface, beta, table).n2j(_check_aut_order(aut_order))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +388,8 @@ def plane_genus2_intermediate(d: int, table: GwTable | None = None) -> int:
     for d1 in range(1, d):
         d2 = d - d1
         bracket = -Fraction(18 * d1 * d2, d) + Fraction(d1 * d1 * d2 * d2, 2) + 10
-        total += binomial(3 * d - 2, 3 * d1 - 1) * count(d1) * count(d2) * d1 * d2 * bracket
-    return to_integer(total, context=f"plane genus-two intermediate at degree {d}")
+        total += comb(3 * d - 2, 3 * d1 - 1) * count(d1) * count(d2) * d1 * d2 * bracket
+    return exact_quotient(total.numerator, total.denominator, "plane genus-two intermediate", d)
 
 
 def plane_genus2_zinger(d: int, table: GwTable | None = None) -> int:
@@ -406,11 +414,11 @@ def plane_genus2_zinger(d: int, table: GwTable | None = None) -> int:
         d2 = d - d1
         bracket = d1 * d1 * d2 * d2 + 28 - Fraction(16 * (9 * d1 * d2 - 1), 3 * d - 2)
         total += (
-            Fraction(binomial(3 * d - 2, 3 * d1 - 1) * d1 * d2 * count(d1) * count(d2))
+            Fraction(comb(3 * d - 2, 3 * d1 - 1) * d1 * d2 * count(d1) * count(d2))
             * bracket
             / 2
         )
-    return to_integer(total, context=f"plane genus-two closed form at degree {d}")
+    return exact_quotient(total.numerator, total.denominator, "plane genus-two closed form", d)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +512,7 @@ def genus2_report(
     aut_order: int = 2,
 ) -> Genus2Report:
     """Assemble the full bundle of genus-two quantities for one class."""
-    _check_aut_order(aut_order)
+    aut_order = _check_aut_order(aut_order)
     if table is None:
         table = GwTable(surface)
     moments = _moments(surface, beta, table)
@@ -515,8 +523,9 @@ def genus2_report(
         beta=beta,
         n0=moments.n0,
         delta=deg - 1,
-        # Exact: beta^2 and x1.beta have the same parity (x1 is characteristic).
-        genus=(moments.sq - deg) // 2 + 1,
+        # beta^2 and x1.beta have the same parity (x1 is characteristic), so
+        # this divides; checked, as Surface.genus checks it.
+        genus=exact_quotient(moments.sq - deg + 2, 2, "genus", beta),
         rt2=moments.rt2(),
         taut=taut,
         cusp=cusp,
@@ -568,7 +577,7 @@ def reconcile(
     table: GwTable | None = None,
     aut_order: int = 2,
 ) -> ReconcileReport:
-    _check_aut_order(aut_order)
+    aut_order = _check_aut_order(aut_order)
     moments = _moments(surface, beta, table)
     rt = moments.rt2()
     *_, lemma, proof = moments.corrections()

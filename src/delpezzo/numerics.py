@@ -1,11 +1,9 @@
 """Exact arithmetic helpers.
 
 All quantities in this package are integers or rationals
-(``fractions.Fraction``); floating point is never used.  ``binomial``
-follows the enumerative convention of vanishing outside the Pascal triangle,
-which lets splitting sums run over a rectangular index box without edge
-cases.  ``exact_quotient`` is the one integer division that the theory
-promises exact; it builds its error only when a remainder is left.
+(``fractions.Fraction``); floating point is never used.
+``exact_quotient`` is the one integer division that the theory promises
+exact; it builds its error only when a remainder is left.
 ``to_decimal_string`` and ``from_decimal_string`` are the one place
 where a count becomes a decimal string or is read from one: past CPython's
 4300-digit limit on ``int`` <-> ``str`` (``n0(d L)`` from ``d = 572`` on)
@@ -14,30 +12,16 @@ they convert through ``decimal``, exactly, without touching the limit.
 
 from __future__ import annotations
 
-import math
 import re
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NonIntegralResult
 
-__all__ = [
-    "binomial",
-    "exact_quotient",
-    "from_decimal_string",
-    "to_decimal_string",
-    "to_integer",
-]
+__all__ = ["exact_quotient", "from_decimal_string", "to_decimal_string"]
 
 # What to_decimal_string writes for an int, and nothing else.
 _CANONICAL = re.compile(r"-?[1-9][0-9]*|0")
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), zero when ``k < 0`` or ``k > n`` or ``n < 0``."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def exact_quotient(numerator: int, denominator: int, what: str, beta: object) -> int:
@@ -49,20 +33,6 @@ def exact_quotient(numerator: int, denominator: int, what: str, beta: object) ->
             f"expected integer in {what} of {beta}, got {Fraction(numerator, denominator)}"
         )
     return quotient
-
-
-def to_integer(value: int | Fraction, context: str = "") -> int:
-    """Convert an exact rational to ``int``, raising if it is not integral.
-
-    ``context`` is included in the error message so the caller can say which
-    quantity failed (for example a curve class).
-    """
-    if isinstance(value, int):
-        return value
-    if value.denominator == 1:
-        return int(value)
-    where = f" in {context}" if context else ""
-    raise NonIntegralResult(f"expected integer{where}, got {value}")
 
 
 def to_decimal_string(value: int | Fraction) -> str:

@@ -107,6 +107,11 @@ class Surface:
     k: int = 0
 
     def __post_init__(self) -> None:
+        # As for CurveClass: a bool becomes its int, other non-integers raise.
+        try:
+            object.__setattr__(self, "k", index(self.k))
+        except TypeError:
+            raise InvalidClass(f"blow-up count must be an integer, got {self.k!r}") from None
         if self.model == _BLOWUP:
             if not 0 <= self.k <= MAX_BLOWUPS:
                 raise RankOverflow(f"blow-up count must be 0..{MAX_BLOWUPS}, got {self.k}")

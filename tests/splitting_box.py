@@ -3,15 +3,24 @@
 ``splittings`` walks a finite candidate box that provably contains every
 class with a nonzero genus-zero count, independently of the engine's
 support levels; the tests filter it by nonzero counts and compare it with
-``support_pairs``.
+``support_pairs``.  ``binomial`` vanishes outside the Pascal triangle, so
+the oracles' splitting sums run over such a box without edge cases.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator
 
 from delpezzo.surface import CurveClass, Surface
+
+
+def binomial(n: int, k: int) -> int:
+    """Binomial coefficient C(n, k), zero when ``k < 0`` or ``k > n`` or ``n < 0``."""
+    if n < 0 or k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
 
 
 def is_exceptional_type(beta: CurveClass) -> bool:

@@ -26,9 +26,9 @@ from delpezzo.genus2 import (
     taut_intersection,
     two_component_count,
 )
-from delpezzo.numerics import binomial
 from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
 from blowup_point import append_coefficient
+from splitting_box import binomial
 
 PLANE = Surface.blowup(0)
 QUADRIC = Surface.quadric()

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from delpezzo.errors import (
     CacheFormatError,
     InvalidClass,
+    NonIntegralResult,
     RankMismatch,
     RecursionFailure,
     SurfaceMismatch,
@@ -636,6 +637,42 @@ def test_a_stalled_reduction_is_a_recursion_failure():
         _Engine(Surface.blowup(8)).value((9,) + (3,) * 8 + (2,))
 
 
+def _broken_half_walks(engine, monkeypatch, perturb):
+    # Every half walk of ``engine`` yields its pairs with ``perturb(i, weight)``
+    # as the weight of its i-th pair; the full walks are left alone.
+    real = engine.pairs
+
+    def pairs(c, pinned=0, half=False):
+        for i, (weight, *rest) in enumerate(real(c, pinned, half)):
+            yield (perturb(i, weight) if half else weight, *rest)
+
+    monkeypatch.setattr(engine, "pairs", pairs)
+
+
+def test_a_remainder_in_the_two_point_relation_is_a_non_integral_result(monkeypatch):
+    # Halving the weight of the first pair of each half walk leaves 1/2 at
+    # the first class a relation runs on, the bidegree (1, 1).
+    engine = _Engine(Surface.quadric())
+    _broken_half_walks(engine, monkeypatch, lambda i, w: w // 2 if i == 0 else w)
+    with pytest.raises(
+        NonIntegralResult, match=r"^expected integer in two-point relation of \(1, 1\), got 1/2$"
+    ):
+        engine.value((3, 2))
+
+
+def test_a_remainder_in_the_four_divisor_relation_is_a_non_integral_result(monkeypatch):
+    # With every half-walk pair of weight 1, the relations under -2K on
+    # eight points still divide, and its own four-divisor relation leaves 3/2.
+    engine = _Engine(Surface.blowup(8))
+    _broken_half_walks(engine, monkeypatch, lambda i, w: 1)
+    with pytest.raises(
+        NonIntegralResult,
+        match=r"^expected integer in four-divisor relation of \(6, 2, 2, 2, 2, 2, 2, 2, 2\), "
+        r"got 3/2$",
+    ):
+        engine.value((6,) + (2,) * 8)
+
+
 def test_classes_that_fail_a_base_check_past_the_chamber_count_zero():
     # The engine carries a class to its standard form before any base
     # check, so a class with m1 + m2 + m3 > d >= 2 that fails one (some
@@ -740,6 +777,13 @@ def test_support_enumerate_quadric():
     assert rows[CurveClass((1, 0))] == 1
     assert rows[CurveClass((0, 1))] == 1
     assert rows[CurveClass((1, 1))] == 1
+
+
+@pytest.mark.parametrize("bound", [2.0, "3", Fraction(3), None, 0],
+                         ids=["integral-float", "string", "fraction", "none", "zero"])
+def test_support_enumerate_bound_must_be_a_positive_integer(bound):
+    with pytest.raises(InvalidClass, match="bound must be an integer of at least 1"):
+        support_enumerate(Surface.blowup(1), bound)
 
 
 # The brute-force candidate box the engine used before it enumerated one

@@ -39,10 +39,10 @@ from delpezzo.genus2 import (
     taut_intersection,
     two_component_count,
 )
-from delpezzo.numerics import binomial
 from delpezzo.orbits import orbit_key, standard_form
 from delpezzo.surface import CurveClass, Surface
 from engine_walks import record_walks
+from splitting_box import binomial
 
 PLANE = Surface.blowup(0)
 QUADRIC = Surface.quadric()
@@ -128,6 +128,16 @@ def test_aut_order_must_be_even_and_positive():
     for bad in (0, -2, 1, 3):
         with pytest.raises(InvalidClass):
             n2j_main(PLANE, plane_class(4), aut_order=bad)
+
+
+@pytest.mark.parametrize("quantity", [n2j_main, genus2_report, reconcile])
+@pytest.mark.parametrize("aut_order", [2.0, "2", Fraction(2), None],
+                         ids=["integral-float", "string", "fraction", "none"])
+def test_aut_order_must_be_an_integer(quantity, aut_order):
+    # Each is refused before any arithmetic: a float of value 2 would make
+    # n2j a float, which the reports cannot encode as JSON.
+    with pytest.raises(InvalidClass, match=r"positive even integer, got "):
+        quantity(PLANE, plane_class(12), aut_order=aut_order)
 
 
 def test_delta_zero_classes_rejected():
@@ -326,6 +336,15 @@ def test_quantity_types_on_a_hand_built_record():
     values = (moments.n2j(2), moments.cusp, moments.two_comp)
     assert [type(value) for value in values] == [int, int, int]
     assert values == (2, 1, 1)
+
+
+def test_the_report_checks_its_genus(monkeypatch):
+    # beta^2 and deg of a class have the same parity; a record where they
+    # do not must not floor (5 - 6) / 2 + 1 to a genus of 0.
+    moments = dataclasses.replace(conic_moments(0, 0, 0, 0), sq=5)
+    monkeypatch.setattr("delpezzo.genus2._moments", lambda surface, beta, table: moments)
+    with pytest.raises(NonIntegralResult, match=r"genus of 2, got 1/2$"):
+        genus2_report(PLANE, plane_class(2))
 
 
 def test_a_warm_report_formats_no_class_and_checks_it_a_pinned_number_of_times(monkeypatch):

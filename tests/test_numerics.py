@@ -7,13 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delpezzo.errors import NonIntegralResult
-from delpezzo.numerics import (
-    binomial,
-    exact_quotient,
-    from_decimal_string,
-    to_decimal_string,
-    to_integer,
-)
+from delpezzo.numerics import exact_quotient, from_decimal_string, to_decimal_string
+from splitting_box import binomial
 
 
 def test_exact_quotient_names_the_quantity_and_the_rational():
@@ -48,19 +43,6 @@ def test_binomial_row_sums(n):
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=30))
 def test_binomial_pascal(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_to_integer_accepts_integral():
-    assert to_integer(Fraction(6, 2)) == 3
-    assert to_integer(7) == 7
-    assert to_integer(Fraction(0)) == 0
-
-
-def test_to_integer_rejects_proper_fraction():
-    with pytest.raises(NonIntegralResult):
-        to_integer(Fraction(3, 2))
-    with pytest.raises(NonIntegralResult, match="conic"):
-        to_integer(Fraction(3, 2), context="conic")
 
 
 

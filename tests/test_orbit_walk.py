@@ -19,11 +19,10 @@ import pytest
 
 from delpezzo.genus0 import GwTable, n0, support_pairs
 from delpezzo.genus2 import _moments, _pair_terms, _sums
-from delpezzo.numerics import binomial
 from delpezzo.orbits import orbit_key
 from delpezzo.surface import CurveClass, Surface
 from engine_walks import ordered_orbit_pairs
-from splitting_box import splittings
+from splitting_box import binomial, splittings
 
 # Classes with repeated multiplicities on k = 3..8 points, small enough for
 # the box (which grows like (d + 2)^k), some of them not orbit keys.

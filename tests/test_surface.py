@@ -100,6 +100,22 @@ def test_blowup_count_bounds():
         Surface.blowup(-1)
 
 
+@pytest.mark.parametrize("k", [2.0, "2", Fraction(2), None],
+                         ids=["integral-float", "string", "fraction", "none"])
+def test_blowup_counts_that_are_not_integers_are_rejected(k):
+    # A float would give the descriptor blp2:k=2.0, which a cache file
+    # written with it could not be read back under.
+    with pytest.raises(InvalidClass, match="blow-up count must be an integer"):
+        Surface.blowup(k)
+
+
+def test_blowup_count_normalises_to_an_int():
+    surface = Surface.blowup(True)
+    assert type(surface.k) is int
+    assert surface == ONE and hash(surface) == hash(ONE)
+    assert surface.descriptor == "blp2:k=1"
+
+
 @pytest.mark.parametrize("k", range(9))
 def test_blowup_numerology(k):
     surface = Surface.blowup(k)
