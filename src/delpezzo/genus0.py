@@ -763,7 +763,7 @@ def load_cache(path: str | Path) -> GwTable:
         raise CacheFormatError(f"cache file {path} cannot be read: {exc}") from exc
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise CacheFormatError(f"cache file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise CacheFormatError(f"cache file {path} nests its JSON too deeply") from None

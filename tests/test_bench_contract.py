@@ -1,7 +1,9 @@
 """What ``perfbench/worker.py`` reads off the program: the names it wraps on
-``delpezzo.cli`` and the genus-two quantities it times.  The worker is
+``delpezzo.cli``, the genus-two quantities it times and the digest of each
+consistency check it compares with ``reference.json``.  The worker is
 loaded as a module, without running ``main``, so a change that moves one
-of these names fails here and not only in a traced benchmark run."""
+of these names, or that changes a check's output, fails here and not only
+in a traced benchmark run."""
 
 import dataclasses
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from delpezzo import cli
+from delpezzo.checks import run_suite
 from delpezzo.genus2 import Genus2Report
 
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
@@ -46,3 +49,20 @@ def test_each_timed_genus_two_quantity_is_callable_and_names_a_report_field():
     for name, (function, field) in worker.G2_QUANTITIES.items():
         assert callable(function), name
         assert field in fields, name
+
+
+CHECK_DIGESTS = worker.load_reference()["check-suite"]["checks"]
+
+
+@pytest.fixture(scope="module")
+def check_results():
+    return {result.check_id: result.to_json_dict() for result in run_suite("all")}
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECK_DIGESTS))
+def test_each_check_matches_the_benchmark_reference(check_results, check_id):
+    # check-suite digests each check of `check --scope all --format json`
+    # and refuses a run whose digest differs from reference.json; this
+    # names the drifted check in the test run.
+    assert check_id in check_results
+    assert worker.digest(check_results[check_id]) == CHECK_DIGESTS[check_id]

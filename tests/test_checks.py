@@ -2,15 +2,17 @@
 
 import hashlib
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
 from delpezzo import checks
-from delpezzo.checks import CheckResult, _check_sweep, render_text, run_suite
+from delpezzo.checks import CheckResult, _check_sweep, _sweep_classes, render_text, run_suite
 from delpezzo.cli import main
 from delpezzo.errors import RecursionFailure
+from delpezzo.genus0 import GwTable, n0
 from delpezzo.orbits import orbit_key
-from delpezzo.surface import CurveClass
+from delpezzo.surface import CurveClass, Surface
 from engine_walks import record_walks
 
 
@@ -123,10 +125,10 @@ def test_failure_renders_as_fail():
 
 
 def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
-    # The swap test and the genus-two moments read one walk of each class's
-    # orbit key, and never the moments memo, so each of the 100 keys is
-    # walked once per member.  The recorder wraps the engine's walk under
-    # `_pair_terms`.
+    # The swap test and the genus-two moments read one walk of each orbit
+    # key, and never the moments memo, so each of the 100 keys is walked
+    # once, and its members are counted as examined.  The recorder wraps
+    # the engine's walk under `_pair_terms`.
     recorded = record_walks(monkeypatch)
     result, identity = _check_sweep("blowups")
     walks = Counter(recorded)
@@ -135,7 +137,50 @@ def test_sweep_walks_the_splittings_once_per_class(monkeypatch):
     assert "247 classes examined" in identity.justification
     assert len(walks) == 100
     assert all(c == orbit_key(c) for c in walks)
-    assert sum(walks.values()) == 247
+    assert sum(walks.values()) == 100
+
+
+def test_sweep_lists_the_classes_of_its_scope():
+    def listed(scope):
+        return [(s.descriptor, c.coeffs, members) for s, c, members, _ in _sweep_classes(scope)]
+
+    assert listed("plane") == [("blp2:k=0", (d,), 1) for d in range(1, 9)]
+    # The quadric: every bidegree a, b <= 5 with n0 != 0 and delta >= 1,
+    # each its own key, read off a table of its own.
+    quadric = Surface.quadric()
+    table = GwTable(surface=quadric)
+    boxed = [CurveClass((a, b)) for a in range(6) for b in range(6) if a + b]
+    swept = [c for c in boxed if n0(quadric, c, table) and quadric.delta(c) >= 1]
+    assert len(swept) == 27
+    assert listed("quadric") == [("p1xp1", c.coeffs, 1) for c in swept]
+    # The blow-ups: the 100 orbit keys of blp2:k=1..3 up to degree 12, each
+    # with as many members as its multiplicities have distinct orders.
+    blowups = listed("blowups")
+    assert len(blowups) == len({(s, c) for s, c, _ in blowups}) == 100
+    assert [s for s, _, _ in blowups] == sorted(s for s, _, _ in blowups)
+    assert all(c == orbit_key(c) for _, c, _ in blowups)
+    assert all(members == len(set(permutations(c[1:]))) for _, c, members in blowups)
+    assert sum(members for _, _, members in blowups) == 247
+
+
+def test_a_failed_walk_of_an_orbit_key_is_one_violation(monkeypatch):
+    # The key (2; 1, 0, 0) of blp2:k=3 has three members; the sweep walks
+    # the key once, so a failure in that walk is one violation naming the
+    # key, and its three members are not counted as balanced.
+    real = checks._pair_terms
+
+    def failing(surface, beta, table):
+        if (surface.k, beta.coeffs) == (3, (2, 1, 0, 0)):
+            raise RecursionFailure("walk failed")
+        return real(surface, beta, table)
+
+    monkeypatch.setattr(checks, "_pair_terms", failing)
+    result, identity = _check_sweep("blowups")
+    assert result.status == "fail"
+    assert result.actual == "1 violations: ['blp2:k=3:2,1,0,0: walk failed']"
+    assert "247 classes examined" in result.justification
+    assert identity.status == "pass"
+    assert "244 classes examined" in identity.justification
 
 
 def test_quadric_sweep_walks_each_bidegree_itself(monkeypatch):

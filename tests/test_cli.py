@@ -502,6 +502,23 @@ def test_cache_with_a_bad_count_or_deep_json_is_advisory(tmp_path, capsys, paylo
     assert err.count("\n") == 1
 
 
+def test_cache_with_an_integer_past_the_digit_limit_is_advisory(tmp_path, capsys):
+    # json.loads raises a bare ValueError, not JSONDecodeError, for an int
+    # literal longer than the interpreter's int <-> str digit limit.
+    cache = tmp_path / "huge.json"
+    cache.write_text(
+        '{"version":1,"surface":"blp2:k=0","entries":[{"class":[%s],"n0":"1"}]}' % ("1" * 5001)
+    )
+    code, out, err = run(
+        capsys, "count", "genus0", "--surface", "blp2:k=0", "--class", "3",
+        "--cache", str(cache),
+    )
+    assert (code, out) == (0, "12\n")
+    assert err.startswith("warning: ignoring unreadable cache")
+    assert "Traceback" not in err
+    assert json.loads(cache.read_text())["entries"][-1] == {"class": [3], "n0": "12"}
+
+
 def test_cache_under_a_regular_file_is_skipped(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

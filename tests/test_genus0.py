@@ -940,6 +940,11 @@ def test_cache_wrong_rank_rejected(tmp_path):
         ),
         pytest.param("[" * 200000, id="nested-too-deeply"),
         pytest.param(
+            '{"version":1,"surface":"blp2:k=0","entries":[{"class":[%s],"n0":"1"}]}'
+            % ("1" * 5001),
+            id="integer-past-the-digit-limit",
+        ),
+        pytest.param(
             '{"version":1,"surface":"blp2:k=2\\n","entries":[]}',
             id="descriptor-with-newline",
         ),
@@ -1373,9 +1378,10 @@ def _k2_file(rows: str) -> str:
         '{"version":1,"surface":"blp2:k=3","entries":[{"class":[6,3,3,1],"n0":"5"}]}',
         '{"version":1,"surface":"blp2:k=2","entries":[{"class":[6,3,3],"n0":"05"}]}',
         "not json",
+        _k2_file('{"class":[%s,3,3],"n0":"5"}' % ("6" * 5001)),
     ],
     ids=["conflict", "zero-conflict", "base-case", "other-surface", "unreadable-row",
-         "unreadable"],
+         "unreadable", "integer-past-the-digit-limit"],
 )
 def test_a_file_that_cannot_be_merged_is_overwritten_from_the_table(tmp_path, found):
     surface = Surface.blowup(2)
