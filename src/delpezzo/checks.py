@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from .errors import DelPezzoError
 from .genus0 import GwTable, n0, support_enumerate
 from .genus2 import (
+    _Moments,
     _pair_terms,
-    _record,
-    _sums,
     n2j_main,
     plane_genus2_intermediate,
     plane_genus2_zinger,
@@ -250,7 +249,7 @@ def _check_sweep(scope: str) -> list[CheckResult]:
             # within each block of equal multiplicity of the key.  Swapping
             # the parts maps an orbit onto an orbit of the same size, so the
             # swapped orbit must have been walked too, with the same weight
-            # and summand.  This runs before the moments are read from the
+            # and summand.  This runs before the record is built from the
             # walk, whose defects can also break exact divisions.
             terms = {}
             for weight, u, v, t in walk:
@@ -258,17 +257,14 @@ def _check_sweep(scope: str) -> list[CheckResult]:
                 terms[orbits] = weight, t
             if any(terms.get((b, a)) != term for (a, b), term in terms.items()):
                 problems.append(f"{surface.descriptor}:{beta}: asymmetric summand")
-            deg = surface.anticanonical_degree(beta)
-            moments = _record(surface, beta, deg, n0(surface, beta, table), *_sums(walk))
+            # Building the record makes every exact division but n2j's.
+            moments = _Moments(surface, beta, n0(surface, beta, table), walk)
             n2j = moments.n2j(2)
-            # The correction totals read the cusp and two-component counts,
-            # so their exact divisions are checked here as well.
-            taut, *_, cr_proof = moments.corrections()
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")
             continue
         balanced += members
-        if moments.rt2() != cr_proof + 2 * n2j - 4 * taut:
+        if moments.rt2 != moments.cr_proof + 2 * n2j - 4 * moments.taut:
             unbalanced.append(f"{surface.descriptor}:{beta}")
     return [
         _verdict(

@@ -280,8 +280,10 @@ class _Engine:
     per stabiliser orbit, shared by every representative of the same shape.
 
     ``moments`` is the genus-two layer's memo on the same table, with the
-    same keys: standard form to ``(n0, S0, S1, S2)``, each of which is
-    invariant under the lattice's symmetries.
+    same keys: standard form to its genus-two record (``genus2._Moments``),
+    built once from ``n0`` and the half walk of that form.  Every quantity
+    in it is invariant under the lattice's symmetries, so the members of an
+    orbit share it.
     """
 
     def __init__(self, surface: Surface) -> None:
@@ -292,7 +294,7 @@ class _Engine:
         self.ensured: dict[int, int] = {}
         self.shapes: dict[Coeffs, tuple[Coeffs, Coeffs]] = {}
         self.placements: dict[tuple[Coeffs, Coeffs], list[tuple[int, Coeffs]]] = {}
-        self.moments: dict[Coeffs, tuple[int, int, int, int]] = {}
+        self.moments: dict[Coeffs, object] = {}  # genus2._Moments records
 
     def value(self, c: Coeffs) -> int:
         key = self.lattice.key(c)

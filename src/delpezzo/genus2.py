@@ -53,12 +53,14 @@ curve over the space of rational curves, and the correction components
 (one per boundary stratum type) that tie them together.
 
 Cleared of denominators, ``cusp``, ``two_comp`` and ``n2j`` are each one
-integer division (``numerics.exact_quotient``), and a call evaluates each
-quantity once: ``genus2_report``, ``reconcile`` and ``cr_components`` read
-every correction term from ``_Moments.corrections``, and the
-moments validate the class once, by ``Surface.anticanonical_degree``,
-before reading ``beta^2`` off its coefficients.  The error naming the
-class and the rational is built only when a division leaves a remainder.
+integer division (``numerics.exact_quotient``).  A table keeps one record
+per standard form (``_Moments``), which evaluates every quantity once,
+when the form is first walked; ``n2j`` keeps its numerator there and
+divides by ``aut`` per call.  So a call validates the class once, by
+``Surface.anticanonical_degree``, looks its record up and reads each
+quantity by name.  The error naming the class and the rational is built
+only when a division leaves a remainder, and a record's errors name the
+standard form it walked.
 
 ``reconcile`` reports ``residual = rt2 - cr - aut n2j`` without asserting
 that it vanishes.  In the moment basis ``S0`` and ``S2`` cancel, which
@@ -71,11 +73,11 @@ every class of its sweep (``reconcile-identity-*``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from operator import index
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidClass, NegativeCount
 from .genus0 import GwTable, _engine, n0
@@ -133,16 +135,16 @@ def _pair_terms(
         yield weight, u, v, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
 
 
-@dataclass(frozen=True)
 class _Moments:
-    """``n0`` and the moments ``S0, S1, S2`` of one class, with the invariants
-    the formulas of the module docstring read; one member per quantity,
-    each evaluated anew on every access, so a caller reads each one once,
-    and :meth:`corrections`, the one place each correction term is written.
-    Cleared of denominators, each quantity is one integer numerator over
-    one denominator, so an integral one is a single
-    ``numerics.exact_quotient``, which formats the error naming ``beta``
-    only when the division leaves a remainder:
+    """The genus-two record of one standard form ``beta``: ``n0``, the
+    moments ``S0, S1, S2`` summed from a walk's summands (see
+    :func:`_pair_terms`), and every quantity of the module docstring, each
+    evaluated once, when the record is built.  Cleared of denominators,
+    each quantity is one integer numerator over one denominator, so an
+    integral one is a single ``numerics.exact_quotient``, which formats the
+    error naming ``beta`` only when the division leaves a remainder.  Every
+    division but ``n2j``'s, which waits for ``aut``, runs here, so a broken
+    walk fails when its record is built:
 
         taut      = (2 x1^2 n0 - S1) / (2 deg)
         cusp      = (2 (x2 deg - x1^2) n0 + S1 - 2 deg S0) / (2 deg)
@@ -151,122 +153,89 @@ class _Moments:
                      - 12 S1 + deg S2 + 20 deg S0) / (aut deg)
     """
 
-    beta: CurveClass
-    deg: int  # beta . x1
-    sq: int  # beta^2
-    x1sq: int  # x1^2
-    x2: int
-    b2: int
-    n0: int
-    s0: int
-    s1: int
-    s2: int
-
-    def rt2(self) -> int:
-        return (4 + 2 * self.b2) * self.n0 * self.sq + self.s2
-
-    @property
-    def taut(self) -> Fraction:
-        return Fraction(2 * self.x1sq * self.n0 - self.s1, 2 * self.deg)
-
-    @property
-    def cusp(self) -> int:
-        deg = self.deg
-        numerator = 2 * (self.x2 * deg - self.x1sq) * self.n0 + self.s1 - 2 * deg * self.s0
-        value = exact_quotient(numerator, 2 * deg, "cusp count", self.beta)
-        if value < 0:
-            raise NegativeCount(f"cusp count of {self.beta} came out {value}")
-        return value
-
-    @property
-    def two_comp(self) -> int:
-        return exact_quotient(self.s0, 2, "two-component count", self.beta)
-
-    def cr(self, variant: str) -> CrComponents:
-        """The correction components of one form, read off :meth:`corrections`."""
-        if variant not in ("lemma", "proof"):
-            raise InvalidClass(f"unknown correction variant {variant!r}")
-        _, _, _, n11, rest, extra, _, _ = self.corrections()
-        return CrComponents(n11 + extra if variant == "proof" else n11, *rest)
-
-    def corrections(
+    def __init__(
         self,
-    ) -> tuple[Fraction, int, int, Fraction, tuple[int, int, int], int, Fraction, Fraction]:
-        """``taut``, ``cusp``, ``two_comp``, the lemma form's ``n11``, the
-        other three correction components, what the proof form adds to
-        ``n11``, and the totals ``cr_lemma`` and ``cr_proof``, each quantity
-        evaluated once."""
-        taut, cusp, two_comp = self.taut, self.cusp, self.two_comp
+        surface: Surface,
+        beta: CurveClass,
+        count: int,
+        terms: Iterable[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]],
+    ) -> None:
+        s0 = s1 = s2 = 0
+        for weight, _, _, (t0, t1, t2) in terms:
+            s0 += weight * t0
+            s1 += weight * t1
+            s2 += weight * t2
+        c = beta.coeffs
+        deg, sq = surface.anticanonical_degree(beta), surface._dot(c, c)
+        x1sq, x2, b2 = surface.k_squared, surface.euler_number, surface.rank
+        self.beta, self.deg, self.sq = beta, deg, sq  # deg = beta . x1, sq = beta^2
+        self.n0, self.s0, self.s1, self.s2 = count, s0, s1, s2
+        self.rt2 = (4 + 2 * b2) * count * sq + s2
+        self.taut = taut = Fraction(2 * x1sq * count - s1, 2 * deg)
+        cusp = exact_quotient(
+            2 * (x2 * deg - x1sq) * count + s1 - 2 * deg * s0, 2 * deg, "cusp count", beta
+        )
+        if cusp < 0:
+            raise NegativeCount(f"cusp count of {beta} came out {cusp}")
+        self.cusp = cusp
+        self.two_comp = two_comp = exact_quotient(s0, 2, "two-component count", beta)
         # taut * 2, not 2 * taut: Fraction's own multiply, not the reflected one.
         n11, rest = taut * 2, (4 * cusp, 18 * cusp, 4 * two_comp)
+        self.lemma = CrComponents(n11, *rest)
+        self.cr_lemma = cr_lemma = n11 + sum(rest)
         # The proof of the same statement carries an extra (2 x1^2 - 2 x2) n0;
         # the evaluation term against the diagonal cycle vanishes identically.
-        extra = (2 * self.x1sq - 2 * self.x2) * self.n0
-        lemma = n11 + sum(rest)
-        return taut, cusp, two_comp, n11, rest, extra, lemma, lemma + extra
+        self.cr_proof = cr_lemma + (2 * x1sq - 2 * x2) * count
+        self.n2j_numerator = (
+            2 * deg * ((2 + b2) * sq - 10 * x2 - x1sq) * count
+            + 24 * x1sq * count - 12 * s1 + deg * s2 + 20 * deg * s0
+        )
+
+    def cr(self, variant: str) -> CrComponents:
+        """The correction components of one form: the proof form's ``n11``
+        is the lemma form's plus ``cr_proof - cr_lemma``."""
+        if variant == "lemma":
+            return self.lemma
+        if variant == "proof":
+            lemma = self.lemma
+            return replace(lemma, n11=lemma.n11 + self.cr_proof - self.cr_lemma)
+        raise InvalidClass(f"unknown correction variant {variant!r}")
 
     def n2j(self, aut_order: int) -> int:
-        deg, x1sq = self.deg, self.x1sq
-        numerator = (
-            2 * deg * ((2 + self.b2) * self.sq - 10 * self.x2 - x1sq) * self.n0
-            + 24 * x1sq * self.n0 - 12 * self.s1 + deg * self.s2 + 20 * deg * self.s0
+        return exact_quotient(
+            self.n2j_numerator, aut_order * self.deg, "genus-two count", self.beta
         )
-        return exact_quotient(numerator, aut_order * deg, "genus-two count", self.beta)
-
-
-def _sums(terms) -> tuple[int, int, int]:
-    """``S0, S1, S2`` of a walk's summands (see :func:`_pair_terms`)."""
-    s0 = s1 = s2 = 0
-    for weight, _, _, (t0, t1, t2) in terms:
-        s0 += weight * t0
-        s1 += weight * t1
-        s2 += weight * t2
-    return s0, s1, s2
-
-
-def _record(
-    surface: Surface, beta: CurveClass, deg: int, count: int, s0: int, s1: int, s2: int
-) -> _Moments:
-    """The :class:`_Moments` of ``beta``, of anticanonical degree ``deg``:
-    the caller has validated ``beta`` (``Surface.anticanonical_degree``),
-    so ``beta^2`` is the unchecked pairing."""
-    c = beta.coeffs
-    return _Moments(
-        beta, deg, surface._dot(c, c), surface.k_squared, surface.euler_number,
-        surface.rank, count, s0, s1, s2,
-    )
 
 
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
-    """One ``n0`` call and one splitting pass: everything the genus-two
-    quantities of ``beta`` need.  ``n0`` and the moments are invariant
-    under the lattice's symmetries, so the table's engine keeps them per
-    standard form (``_Lattice.key``, the genus-zero memo's key), the class
-    it walks; the record is built around the caller's ``beta``, so its
-    errors name that class."""
+    """The genus-two record of ``beta``: one ``n0`` call and one splitting
+    pass, both on its standard form (``_Lattice.key``, the genus-zero
+    memo's key), the first time the table's engine meets that form, and a
+    lookup after.  ``n0``, the moments and so every quantity are invariant
+    under the lattice's symmetries, so every member of an orbit reads the
+    one record, and its errors name the standard form that was walked."""
     if table is None:
         table = GwTable(surface)
-    deg = surface.anticanonical_degree(beta)
-    delta = deg - 1
+    delta = surface.anticanonical_degree(beta) - 1
     if delta < 1:
         raise InvalidClass(
             f"class {beta} has delta = {delta}; need at least one point constraint"
         )
     engine = _engine(surface, table)
     key = engine.lattice.key(beta.coeffs)
-    moments = engine.moments
-    stored = moments.get(key)
-    if stored is None:
+    record = engine.moments.get(key)
+    if record is None:
         walked = CurveClass(key)
-        count = n0(surface, walked, table)
         # The half walk: the summands are swap-invariant.
-        stored = moments[key] = (count, *_sums(_pair_terms(surface, walked, table, True)))
-    return _record(surface, beta, deg, *stored)
+        record = engine.moments[key] = _Moments(
+            surface, walked, n0(surface, walked, table), _pair_terms(surface, walked, table, True)
+        )
+    return record
 
 
 def rt2(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
     """Degree-two symplectic invariant of the class: ``(4 + 2 b2) n0 beta^2 + S2``."""
-    return _moments(surface, beta, table).rt2()
+    return _moments(surface, beta, table).rt2
 
 
 def taut_intersection(
@@ -517,7 +486,6 @@ def genus2_report(
         table = GwTable(surface)
     moments = _moments(surface, beta, table)
     deg = moments.deg
-    taut, cusp, two_comp, _, _, _, cr_lemma, cr_proof = moments.corrections()
     return Genus2Report(
         surface=surface,
         beta=beta,
@@ -526,12 +494,12 @@ def genus2_report(
         # beta^2 and x1.beta have the same parity (x1 is characteristic), so
         # this divides; checked, as Surface.genus checks it.
         genus=exact_quotient(moments.sq - deg + 2, 2, "genus", beta),
-        rt2=moments.rt2(),
-        taut=taut,
-        cusp=cusp,
-        two_comp=two_comp,
-        cr_lemma=cr_lemma,
-        cr_proof=cr_proof,
+        rt2=moments.rt2,
+        taut=moments.taut,
+        cusp=moments.cusp,
+        two_comp=moments.two_comp,
+        cr_lemma=moments.cr_lemma,
+        cr_proof=moments.cr_proof,
         n2j=moments.n2j(aut_order),
         aut_order=aut_order,
         warnings=tuple(applicability_warnings(surface, beta, table)),
@@ -579,8 +547,7 @@ def reconcile(
 ) -> ReconcileReport:
     aut_order = _check_aut_order(aut_order)
     moments = _moments(surface, beta, table)
-    rt = moments.rt2()
-    *_, lemma, proof = moments.corrections()
+    rt, lemma, proof = moments.rt2, moments.cr_lemma, moments.cr_proof
     scaled = aut_order * moments.n2j(aut_order)
     return ReconcileReport(
         surface=surface,

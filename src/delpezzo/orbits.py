@@ -21,7 +21,7 @@ stabiliser, with the orbit size as weight: the splitting walk of the
 engine is a walk over placements.  With every point a block of its own,
 the placements are the members themselves, each of weight 1: that is how
 the engine walks a class with every point pinned, and how ``orbit_rows``
-expands orbits at the output boundary, a quadric bidegree included.
+expands orbits of more than one member at the output boundary.
 """
 
 from __future__ import annotations
@@ -146,10 +146,16 @@ def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
     """``(member, count)`` for every member of the point-permutation orbit of
     each ``(representative, count)``; representatives with the same run
     lengths share one list of arrangements, kept only for this call.  A
-    bidegree ``(a, b)``, read as a class with one point, yields itself."""
+    representative with at most one point, or with its multiplicities all
+    equal, is its orbit's only member and yields itself; a bidegree
+    ``(a, b)``, read as a class with one point, is one."""
     shared: dict[Coeffs, list[tuple[int, Coeffs]]] = {}
     rows: list[tuple[Coeffs, int]] = []
     for rep, value in items:
+        # Non-increasing multiplicities are all equal when the first is the last.
+        if len(rep) < 3 or rep[1] == rep[-1]:
+            rows.append((rep, value))
+            continue
         values, counts = runs(rep[1:])
         labels = shared.get(counts)
         if labels is None:

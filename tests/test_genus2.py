@@ -24,7 +24,6 @@ from delpezzo.genus2 import (
     _Moments,
     _moments,
     _pair_terms,
-    _sums,
     applicability_warnings,
     cr_components,
     cr_total,
@@ -39,9 +38,10 @@ from delpezzo.genus2 import (
     taut_intersection,
     two_component_count,
 )
+from delpezzo.numerics import exact_quotient
 from delpezzo.orbits import orbit_key, standard_form
-from delpezzo.surface import CurveClass, Surface
-from engine_walks import record_walks
+from delpezzo.surface import CurveClass, Surface, quadric_to_blowup_class
+from engine_walks import moment_sums, record_walks
 from splitting_box import binomial
 
 PLANE = Surface.blowup(0)
@@ -171,6 +171,83 @@ def test_plane_closed_form_rejects_degree_one():
 
 
 # ---------------------------------------------------------------------------
+# Classical cusp counts, and the blow-up law of the whole genus-two bundle.
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_the_anticanonical_cusp_count_is_24(k):
+    # A curve in -K = 3L - E1 - ... - Ek is a plane cubic through the k
+    # blown-up points, so on every k <= 7 this is the classical count of 24
+    # cuspidal cubics through 7 general points.
+    surface = Surface.blowup(k)
+    assert cusp_count(surface, surface.anticanonical) == 24
+
+
+def test_plane_cusp_counts():
+    assert [cusp_count(PLANE, plane_class(d)) for d in range(3, 7)] == [
+        24, 2304, 435168, 156153600,
+    ]
+
+
+# The law appending a multiplicity 0 (blowing up a point off the curve)
+# must obey, per quantity: (n0, n2j, cusp) stay, rt2 rises by 2 n0, taut
+# falls by n0, two_comp rises by n0, so cr_lemma rises by 2 n0 and cr_proof
+# falls by 2 n0.  A test of the engine's outputs only: nothing in the
+# package reads a class through fewer points.
+BUNDLE = ("n0", "n2j", "cusp", "rt2", "taut", "two_comp", "cr_lemma", "cr_proof")
+
+
+def _blow_up_shift(report, image):
+    """Each quantity of ``image`` minus that of ``report``, and what the law
+    says the differences are."""
+    n = report.n0
+    actual = tuple(getattr(image, name) - getattr(report, name) for name in BUNDLE)
+    return actual, (0, 0, 0, 2 * n, -n, n, 2 * n, -2 * n)
+
+
+# k: (anticanonical degree bound on blp2:k, classes with delta >= 1 there).
+BLOW_UP_LAW_BOUNDS = {0: (9, 3), 1: (9, 8), 2: (9, 22), 3: (9, 75), 4: (7, 131), 5: (7, 685)}
+
+
+@pytest.mark.parametrize("k", sorted(BLOW_UP_LAW_BOUNDS))
+def test_appending_a_zero_multiplicity_obeys_the_blow_up_law(k):
+    bound, expected = BLOW_UP_LAW_BOUNDS[k]
+    surface, blown_up = Surface.blowup(k), Surface.blowup(k + 1)
+    table, blown_up_table = GwTable(surface=surface), GwTable(surface=blown_up)
+    compared = 0
+    for beta, _ in support_enumerate(surface, bound, table):
+        if surface.delta(beta) < 1:
+            continue
+        image = CurveClass(beta.coeffs + (0,))
+        actual, law = _blow_up_shift(
+            genus2_report(surface, beta, table), genus2_report(blown_up, image, blown_up_table)
+        )
+        assert actual == law, beta
+        compared += 1
+    assert compared == expected
+
+
+def test_the_quadric_blown_up_at_a_point_obeys_the_blow_up_law():
+    # The two-point blow-up of the plane is the quadric blown up at one
+    # point, and the image (a+b; b, a) of a bidegree meets that point's
+    # exceptional curve L - E1 - E2 in 0.
+    two_points = Surface.blowup(2)
+    table, two_point_table = GwTable(surface=QUADRIC), GwTable(surface=two_points)
+    compared = 0
+    for beta, _ in support_enumerate(QUADRIC, 24, table):
+        if QUADRIC.delta(beta) < 1:
+            continue
+        image = quadric_to_blowup_class(beta)
+        assert two_points.intersect(image, CurveClass((1, 1, 1))) == 0
+        actual, law = _blow_up_shift(
+            genus2_report(QUADRIC, beta, table), genus2_report(two_points, image, two_point_table)
+        )
+        assert actual == law, beta
+        compared += 1
+    assert compared == 68
+
+
+# ---------------------------------------------------------------------------
 # Vanishing on low-genus classes and hypothesis warnings.
 
 
@@ -297,25 +374,30 @@ def test_encode_exact():
 
 def conic_moments(n0, s0, s1, s2):
     """A hand-built record on the plane conic class: deg 6, beta^2 = 4,
-    x1^2 = 9, x2 = 3, b2 = 1, with free ``n0`` and moments."""
-    return _Moments(CurveClass((2,)), 6, 4, 9, 3, 1, n0, s0, s1, s2)
+    x1^2 = 9, x2 = 3, b2 = 1, with free ``n0`` and moments, passed as one
+    summand of weight 1."""
+    return _Moments(PLANE, CurveClass((2,)), n0, [(1, (), (), (s0, s1, s2))])
 
 
+# The record makes every division but n2j's when it is built, cusp first,
+# so the moments of each case below leave the divisions before its own
+# integral (and the cusp count nonnegative).
 @pytest.mark.parametrize(
-    "moments, quantity, message",
+    "sums, quantity, message",
     [
-        (conic_moments(0, 1, 0, 0), lambda m: m.two_comp, "two-component count of 2, got 1/2"),
+        # cusp = (0 + 12 - 12) / 12 = 0
+        ((0, 1, 12, 0), lambda m: m.two_comp, "two-component count of 2, got 1/2"),
         # (3 - 9/6) + 1/12 = 19/12
-        (conic_moments(1, 0, 1, 0), lambda m: m.cusp, "cusp count of 2, got 19/12"),
-        # (2/aut) ((12 - 30 - 9 + 18) - 6/6 + 1/2) = -19/aut
-        (conic_moments(1, 0, 1, 1), lambda m: m.n2j(2), "genus-two count of 2, got -19/2"),
-        (conic_moments(1, 0, 1, 1), lambda m: m.n2j(4), "genus-two count of 2, got -19/4"),
+        ((1, 0, 1, 0), lambda m: m.cusp, "cusp count of 2, got 19/12"),
+        # cusp = (18 + 6) / 12 = 2; (2/aut) ((12 - 30 - 9 + 18) - 36/6 + 11/2) = -19/aut
+        ((1, 0, 6, 11), lambda m: m.n2j(2), "genus-two count of 2, got -19/2"),
+        ((1, 0, 6, 11), lambda m: m.n2j(4), "genus-two count of 2, got -19/4"),
     ],
     ids=["two_comp", "cusp", "n2j-aut2", "n2j-aut4"],
 )
-def test_non_integral_quantities_name_the_class_and_the_rational(moments, quantity, message):
+def test_non_integral_quantities_name_the_class_and_the_rational(sums, quantity, message):
     with pytest.raises(NonIntegralResult) as failure:
-        quantity(moments)
+        quantity(conic_moments(*sums))
     assert str(failure.value) == f"expected integer in {message}"
 
 
@@ -341,7 +423,8 @@ def test_quantity_types_on_a_hand_built_record():
 def test_the_report_checks_its_genus(monkeypatch):
     # beta^2 and deg of a class have the same parity; a record where they
     # do not must not floor (5 - 6) / 2 + 1 to a genus of 0.
-    moments = dataclasses.replace(conic_moments(0, 0, 0, 0), sq=5)
+    moments = conic_moments(0, 0, 0, 0)
+    moments.sq = 5
     monkeypatch.setattr("delpezzo.genus2._moments", lambda surface, beta, table: moments)
     with pytest.raises(NonIntegralResult, match=r"genus of 2, got 1/2$"):
         genus2_report(PLANE, plane_class(2))
@@ -374,6 +457,30 @@ def test_a_warm_report_formats_no_class_and_checks_it_a_pinned_number_of_times(m
                 calls.clear()
                 quantity(surface, beta, table, aut_order=aut_order)
                 assert calls == ["check_class"] * checks, (quantity.__name__, coeffs)
+        monkeypatch.undo()
+
+
+def test_a_warm_report_on_another_member_divides_only_for_the_genus_and_n2j(monkeypatch):
+    # One record per standard form makes every other division when it is
+    # built; a second member of the orbit, (5, 1, 2, 2) after (5, 2, 1, 2)
+    # or the swapped bidegree, reads it and divides twice.
+    divisions = []
+    real = exact_quotient
+
+    def counting(numerator, denominator, what, beta):
+        divisions.append(what)
+        return real(numerator, denominator, what, beta)
+
+    for surface, first, second in (
+        (Surface.blowup(3), (5, 2, 1, 2), (5, 1, 2, 2)),
+        (QUADRIC, (4, 3), (3, 4)),
+    ):
+        table = GwTable(surface=surface)
+        genus2_report(surface, CurveClass(first), table)
+        monkeypatch.setattr("delpezzo.genus2.exact_quotient", counting)
+        divisions.clear()
+        genus2_report(surface, CurveClass(second), table)
+        assert divisions == ["genus", "genus-two count"], second
         monkeypatch.undo()
 
 
@@ -620,7 +727,7 @@ def _walked_moments(surface, coeffs, table):
     memo, or the type of the error the walk raised."""
     beta = CurveClass(coeffs)
     try:
-        return (n0(surface, beta, table), *_sums(_pair_terms(surface, beta, table)))
+        return (n0(surface, beta, table), *moment_sums(_pair_terms(surface, beta, table)))
     except Exception as exc:
         return type(exc)
 

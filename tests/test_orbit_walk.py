@@ -18,10 +18,10 @@ from collections import Counter
 import pytest
 
 from delpezzo.genus0 import GwTable, n0, support_pairs
-from delpezzo.genus2 import _moments, _pair_terms, _sums
-from delpezzo.orbits import orbit_key
+from delpezzo.genus2 import _moments, _pair_terms
+from delpezzo.orbits import orbit_key, orbit_rows, standard_form
 from delpezzo.surface import CurveClass, Surface
-from engine_walks import ordered_orbit_pairs
+from engine_walks import moment_sums, ordered_orbit_pairs
 from splitting_box import binomial, splittings
 
 # Classes with repeated multiplicities on k = 3..8 points, small enough for
@@ -84,6 +84,21 @@ def test_orbit_weights_count_their_members(k, coeffs):
         assert degree1 == surface.anticanonical_degree(CurveClass(c1))
         assert (n1, n2) == (n0(surface, CurveClass(c1)), n0(surface, CurveClass(c2)))
     assert covered == {b1.coeffs for b1, *_ in support_pairs(surface, CurveClass(key), table)}
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [(4,), (3, 1), (3, 0), (5, 2, 2, 2), (4, 1, 1, 1, 1, 1), (2, 0, 0, 0, 0, 0, 0, 0, 0),
+     (5, 2, 2, 1), (4, 2, 1, 1, 0, 0), (2, 1, 1, 1, 1, 0, 0, 0, 0)],
+)
+def test_orbit_rows_list_every_member_once(rep):
+    # Against brute-force permutations of the points: a representative with
+    # at most one point or equal multiplicities is its only member.  A
+    # bidegree (a, b) reads as a class with one point.
+    members = sorted({(rep[0], *perm) for perm in itertools.permutations(rep[1:])})
+    rows = orbit_rows([(rep, 7)])
+    assert sorted(rows) == [(member, 7) for member in members]
+    assert len(rows) == len(members)
 
 
 # The summands of the two relations: (A, B) = (L, L) for two points, read
@@ -243,7 +258,7 @@ def test_weighted_moments_match_the_pair_sums(k, coeffs):
     table = GwTable(surface=surface)
     moments = _moments(surface, beta, table)
     assert (moments.s0, moments.s1, moments.s2) == _expanded_sums(surface, beta, table)
-    assert moments.beta == beta
+    assert moments.beta == CurveClass(standard_form(coeffs))
 
 
 # Every standard form with delta >= 1 up to these anticanonical degrees.
@@ -270,14 +285,14 @@ def test_weighted_moments_of_every_standard_form_match_the_ordered_walks(descrip
                 beta = CurveClass(key)
                 moments = _moments(surface, beta, table)
                 sums = (moments.s0, moments.s1, moments.s2)
-                assert sums == _sums(_pair_terms(surface, beta, table)), key
+                assert sums == moment_sums(_pair_terms(surface, beta, table)), key
                 if surface.k != 8:
                     assert sums == _expanded_sums(surface, beta, table), key
                 classes += 1
     assert classes >= 15
 
 
-def test_moments_are_kept_per_orbit_and_rebuilt_for_the_caller():
+def test_members_of_an_orbit_share_the_record_of_its_standard_form():
     surface = Surface.blowup(3)
     table = GwTable(surface=surface)
     first, second = CurveClass((5, 2, 1, 2)), CurveClass((5, 2, 2, 1))
@@ -285,8 +300,7 @@ def test_moments_are_kept_per_orbit_and_rebuilt_for_the_caller():
     assert list(table._engine.moments) == [(5, 2, 2, 1)]
     b = _moments(surface, second, table)
     assert len(table._engine.moments) == 1
-    assert (a.beta, b.beta) == (first, second)
-    assert (a.n0, a.s0, a.s1, a.s2) == (b.n0, b.s0, b.s1, b.s2)
+    assert a is b and a.beta == second
 
 
 def test_levels_hold_orbit_keys_only():
