@@ -140,7 +140,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
-from operator import index, sub
+from operator import index, itemgetter, sub
 from pathlib import Path
 from stat import S_ISREG
 from typing import Callable
@@ -661,7 +661,8 @@ def support_enumerate(
     bound, sorted lexicographically by coefficient vector.  The support
     levels hold one representative per orbit; ``orbits.orbit_rows`` lists
     every member, and a bidegree, read as a class with one point, is its
-    own only member."""
+    own only member.  No class is listed twice, so the rows are sorted on
+    the coefficient vector alone, never comparing counts."""
     try:
         max_anticanonical_degree = index(max_anticanonical_degree)
     except TypeError:
@@ -676,7 +677,7 @@ def support_enumerate(
         for bucket in engine.support[(surface.rank, degree)].values()
         for item in bucket.items()
     )
-    rows.sort()
+    rows.sort(key=itemgetter(0))
     return [(CurveClass(c), v) for c, v in rows]
 
 

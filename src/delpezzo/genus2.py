@@ -47,10 +47,11 @@ with ``aut`` the order of the automorphism group of the domain curve (2
 for generic genus-two curves, which are hyperelliptic).  The other
 quantities are the intermediate ones of the same computation: the
 degree-two symplectic sum ``rt2``, the count of rational curves with a
-cusp, the count of two-component rational configurations weighted by their
-intersection points, the tautological intersection number on the universal
-curve over the space of rational curves, and the correction components
-(one per boundary stratum type) that tie them together.
+cusp through the same ``delta - 1`` points, the count of two-component
+rational configurations weighted by their intersection points, the
+tautological intersection number on the universal curve over the space of
+rational curves, and the correction components (one per boundary stratum
+type) that tie them together.
 
 Cleared of denominators, ``cusp``, ``two_comp`` and ``n2j`` are each one
 integer division (``numerics.exact_quotient``).  A table keeps one record
@@ -165,8 +166,9 @@ class _Moments:
             s0 += weight * t0
             s1 += weight * t1
             s2 += weight * t2
-        c = beta.coeffs
-        deg, sq = surface.anticanonical_degree(beta), surface._dot(c, c)
+        # The walk's caller has validated ``beta``, so both pairings are unchecked.
+        c, dot = beta.coeffs, surface._dot
+        deg, sq = dot(surface.anticanonical.coeffs, c), dot(c, c)
         x1sq, x2, b2 = surface.k_squared, surface.euler_number, surface.rank
         self.beta, self.deg, self.sq = beta, deg, sq  # deg = beta . x1, sq = beta^2
         self.n0, self.s0, self.s1, self.s2 = count, s0, s1, s2
@@ -249,8 +251,9 @@ def taut_intersection(
 
 
 def cusp_count(surface: Surface, beta: CurveClass, table: GwTable | None = None) -> int:
-    """Number of rational curves in the class, through ``delta`` generic
-    points, that carry a cusp: ``(x2 - x1^2/deg) n0 + S1/(2 deg) - S0``.
+    """Number of rational curves in the class, through ``delta - 1``
+    generic points, that carry a cusp: ``(x2 - x1^2/deg) n0 + S1/(2 deg) -
+    S0``.  On the plane, 24 cuspidal cubics pass through 7 points.
     """
     return _moments(surface, beta, table).cusp
 

@@ -21,7 +21,10 @@ stabiliser, with the orbit size as weight: the splitting walk of the
 engine is a walk over placements.  With every point a block of its own,
 the placements are the members themselves, each of weight 1: that is how
 the engine walks a class with every point pinned, and how ``orbit_rows``
-expands orbits of more than one member at the output boundary.
+expands orbits of more than one member at the output boundary.  That case
+takes a direct path of nested ``itertools.combinations`` inside
+``placements``, and ``orbit_rows`` turns each arrangement into an
+``operator.itemgetter`` that builds a member in one step.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import accumulate, combinations
 from math import comb
+from operator import itemgetter
 
 Coeffs = tuple[int, ...]
 
@@ -87,22 +91,45 @@ def placements(counts: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
     ``f`` free points of a block multiplies the weight by ``C(f, n)``: the
     product is the multinomial number of ways to arrange each block's
     multiset.  Blocks with one free point take a combination of copies.
-    With blocks of one point each, the placements are the distinct
-    arrangements of the multiset, each of weight 1.
+
+    Blocks of one point each, the case of every pinned walk and of
+    ``orbit_rows``, take a direct path: the placements are the distinct
+    arrangements of the multiset, each of weight 1, and each run but the
+    last takes a combination of the points the earlier runs left free, in
+    the same order as the general path.
     """
-    ends = list(accumulate(sizes))
-    free = list(sizes)
     labels = [0] * sum(sizes)
     out: list[tuple[int, Coeffs]] = []
     last = len(counts) - 1
+    if last <= 0:
+        # One run, or none, fills every point.
+        return [(1, tuple(labels))]
+    if len(sizes) == len(labels):
+
+        def arrange(run: int, free: Iterable[int]) -> None:
+            if run + 1 < last:
+                for chosen in combinations(free, counts[run]):
+                    for p in chosen:
+                        labels[p] = run
+                    arrange(run + 1, [p for p in free if p not in chosen])
+                return
+            # The last run fills every point this one leaves free.
+            for p in free:
+                labels[p] = last
+            for chosen in combinations(free, counts[run]):
+                for p in chosen:
+                    labels[p] = run
+                out.append((1, tuple(labels)))
+                for p in chosen:
+                    labels[p] = last
+
+        arrange(0, range(len(labels)))
+        return out
+    ends = list(accumulate(sizes))
+    free = list(sizes)
 
     def place(run: int, weight: int) -> None:
-        if run >= last:
-            # The last run fills what is left.
-            for end, f in zip(ends, free):
-                labels[end - f:end] = [run] * f
-            out.append((weight, tuple(labels)))
-            return
+        # Every run placed here leaves at least the last one to follow.
         wide = [b for b, f in enumerate(free) if f > 1]
         ones = [b for b, f in enumerate(free) if f == 1]
         spread(run, wide, 0, counts[run], weight, ones)
@@ -144,12 +171,13 @@ def placements(counts: Coeffs, sizes: Coeffs) -> list[tuple[int, Coeffs]]:
 
 def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
     """``(member, count)`` for every member of the point-permutation orbit of
-    each ``(representative, count)``; representatives with the same run
-    lengths share one list of arrangements, kept only for this call.  A
-    representative with at most one point, or with its multiplicities all
-    equal, is its orbit's only member and yields itself; a bidegree
-    ``(a, b)``, read as a class with one point, is one."""
-    shared: dict[Coeffs, list[tuple[int, Coeffs]]] = {}
+    each ``(representative, count)``.  Representatives with the same run
+    lengths share, for this call only, one ``itemgetter`` per arrangement,
+    which builds a member in one step from the distinct multiplicities and
+    the line degree.  A representative with at most one point, or with its
+    multiplicities all equal, is its orbit's only member and yields itself;
+    a bidegree ``(a, b)``, read as a class with one point, is one."""
+    shared: dict[Coeffs, list[itemgetter]] = {}
     rows: list[tuple[Coeffs, int]] = []
     for rep, value in items:
         # Non-increasing multiplicities are all equal when the first is the last.
@@ -157,11 +185,13 @@ def orbit_rows(items: Iterable[tuple[Coeffs, int]]) -> list[tuple[Coeffs, int]]:
             rows.append((rep, value))
             continue
         values, counts = runs(rep[1:])
-        labels = shared.get(counts)
-        if labels is None:
-            labels = shared[counts] = placements(counts, (1,) * (len(rep) - 1))
-        pick = values.__getitem__
-        d = rep[0]
-        rows.extend([((d, *map(pick, label)), value) for _, label in labels])
+        members = shared.get(counts)
+        if members is None:
+            # Run r sits at index r of (*values, d), and d after the last run.
+            members = shared[counts] = [
+                itemgetter(len(counts), *labels)
+                for _, labels in placements(counts, (1,) * (len(rep) - 1))
+            ]
+        source = (*values, rep[0])
+        rows.extend([(member(source), value) for member in members])
     return rows
-

@@ -53,7 +53,7 @@ def _quadric_dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return u[0] * v[1] + u[1] * v[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveClass:
     """An integer coefficient vector in the basis described above."""
 

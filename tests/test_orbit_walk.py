@@ -17,9 +17,9 @@ from collections import Counter
 
 import pytest
 
-from delpezzo.genus0 import GwTable, n0, support_pairs
+from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import _moments, _pair_terms
-from delpezzo.orbits import orbit_key, orbit_rows, standard_form
+from delpezzo.orbits import orbit_key, orbit_rows, placements, standard_form
 from delpezzo.surface import CurveClass, Surface
 from engine_walks import moment_sums, ordered_orbit_pairs
 from splitting_box import binomial, splittings
@@ -315,3 +315,56 @@ def test_levels_hold_orbit_keys_only():
     assert len(keys) > 1000
     assert all(c == orbit_key(c) for c in keys)
     assert all(c == orbit_key(c) for c in engine.memo)
+
+
+def _run_lengths(n):
+    """Every tuple of positive run lengths summing to ``n``."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _run_lengths(n - first):
+            yield (first, *rest)
+
+
+UNIT_SHAPES = [c for n in range(1, 8) for c in _run_lengths(n)] + [
+    (2, 2, 2, 2), (3, 1, 4), (1, 2, 1, 3, 1), (5, 1, 1, 1)
+]
+
+
+@pytest.mark.parametrize("counts", UNIT_SHAPES, ids=[",".join(map(str, c)) for c in UNIT_SHAPES])
+def test_unit_block_placements_are_the_distinct_arrangements(counts):
+    # Blocks of one point each: every distinct permutation of the multiset
+    # once, of weight 1.  Each run but the last takes a combination of the
+    # points the earlier runs left free, so the arrangements come in
+    # increasing order of the runs' position tuples.
+    multiset = [run for run, count in enumerate(counts) for _ in range(count)]
+    found = placements(counts, (1,) * len(multiset))
+    assert {weight for weight, _ in found} == {1}
+    arrangements = [labels for _, labels in found]
+    assert sorted(arrangements) == sorted(set(itertools.permutations(multiset)))
+    positions = [
+        tuple(tuple(p for p, label in enumerate(labels) if label == run)
+              for run in range(len(counts)))
+        for labels in arrangements
+    ]
+    assert all(a < b for a, b in zip(positions, positions[1:]))
+
+
+@pytest.mark.parametrize("k, bound", [(7, 4), (8, 3)])
+def test_support_enumerate_expands_the_support_levels(k, bound):
+    # Against brute-force permutations of every representative the levels
+    # hold: every member once, strictly increasing by coefficient vector.
+    surface = Surface.blowup(k)
+    table = GwTable(surface=surface)
+    rows = [(beta.coeffs, count) for beta, count in support_enumerate(surface, bound, table)]
+    levels = table._engine.support
+    brute = sorted(
+        ((rep[0], *perm), count)
+        for degree in range(1, bound + 1)
+        for bucket in levels[(surface.rank, degree)].values()
+        for rep, count in bucket.items()
+        for perm in set(itertools.permutations(rep[1:]))
+    )
+    assert rows == brute
+    assert all(a < b for (a, _), (b, _) in zip(rows, rows[1:]))

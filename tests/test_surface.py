@@ -1,5 +1,6 @@
 """Lattice layer: classes, pairings, descriptors, and the splitting oracle."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,26 @@ def test_class_parse_reads_only_what_str_writes(text):
 def test_class_coefficients_that_are_not_integers_are_rejected(coefficient):
     with pytest.raises(InvalidClass, match="integer coefficients"):
         CurveClass((coefficient, 1))
+
+
+def test_class_is_slotted_frozen_and_still_validated():
+    # Slotted: no instance dict, and no room for an attribute beyond
+    # ``coeffs``, not even past the frozen __setattr__.  Assigning a new
+    # name raises too; CPython 3.10 to 3.13 raise TypeError there, from
+    # the frozen __setattr__ of the class that slots=True replaces.  The
+    # coefficients are still checked.
+    beta = CurveClass((3, 1))
+    assert not hasattr(beta, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        beta.coeffs = (4, 1)
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        beta.label = "cubic"
+    with pytest.raises(AttributeError):
+        object.__setattr__(beta, "label", "cubic")
+    assert beta == CurveClass((3, 1))
+    for coefficient in (2.7, "3"):
+        with pytest.raises(InvalidClass, match="integer coefficients"):
+            CurveClass((coefficient, 1))
 
 
 def test_class_coefficients_normalise_to_an_int_tuple():
