@@ -74,23 +74,26 @@ degree, the orbit representatives with nonzero count, bucketed by their
 first coordinate (the line degree, or ``a`` on the quadric).  Both are
 additive, so a splitting ``beta = beta1 + beta2`` pairs the bucket ``e``
 of level ``D1`` only with the bucket ``beta[0] - e`` of level ``D - D1``.
-On blow-ups the walk of an orbit key ``beta`` enumerates ``beta1`` up to
+The walk of an orbit key ``beta`` enumerates ``beta1`` up to
 its stabiliser, the permutations of points of equal multiplicity: each
 representative of the smaller bucket is placed on the points of ``beta``
 once per way of giving every block of equal multiplicity a multiset of
 part multiplicities, weighted by the number of ways to arrange that
 multiset in the block, and the complement is one lookup of its orbit key
 in the other bucket.  Every summand of the relations and of the genus-two
-moments is invariant under the stabiliser.  On the quadric each bucket
-holds one bidegree and every weight is 1.  A complement missing from its
-bucket has count zero, because the candidates of a level contain every
-orbit that can carry curves.  Permutations are built only at the output:
-``support_enumerate`` expands the orbits into every member through
-``orbits.orbit_rows`` on both lattices, and ``support_pairs`` is the same
-walk of any member with every point pinned (``pinned`` is a flag: no
-point or all of them), so each of its orbits is one ordered pair.  The
-orbit combinatorics (keys, standard forms, runs, placements, expansion)
-live in ``orbits``.
+moments is invariant under the stabiliser.  With at most one point (the
+plane, one point, or a bidegree ``(a, b)`` read as line degree ``a`` and
+multiplicity ``b``) a class is fixed by its degree and first coordinate,
+so two matching buckets hold one class each, a part and its complement,
+which the walk yields as they stand, of weight 1: one walk serves both
+lattices.  A complement missing from its bucket has count zero, because
+the candidates of a level contain every orbit that can carry curves.
+Permutations are built only at the output: ``support_enumerate`` expands
+the orbits into every member through ``orbits.orbit_rows`` on both
+lattices, and ``support_pairs`` is the same walk of any member with every
+point pinned (``pinned`` is a flag: no point or all of them), so each of
+its orbits is one ordered pair.  The orbit combinatorics (keys, standard
+forms, runs, placements, expansion) live in ``orbits``.
 
 Swapping the two parts maps the splittings of a class onto themselves,
 so the relations and the genus-two moments read the half walk, which
@@ -270,8 +273,8 @@ class _Engine:
     ``support`` maps ``(rank, anticanonical degree)`` to that level's orbit
     representatives with nonzero count, bucketed by the first coordinate:
     ``{c[0]: {key: count}}``.  ``ensure`` fills the levels in order of
-    degree, evaluating one candidate per orbit; the lattice's walk reads
-    two of them per splitting and ``support_enumerate`` expands them;
+    degree, evaluating one candidate per orbit; the walk reads two of them
+    per splitting and ``support_enumerate`` expands them;
     nothing else stores the support.
 
     ``shapes`` caches ``orbits.runs`` of each representative's
@@ -340,7 +343,7 @@ class _Engine:
         weighted by its orbit size."""
         degree = self.lattice.degree(c)
         self.ensure(len(c), degree - 1)
-        return self.lattice.walk(self, c, degree, pinned, half)
+        return self._orbit_walk(c, degree, pinned, half)
 
     def ensure(self, rank: int, bound: int) -> None:
         """Fill the support levels of ``rank`` up to anticanonical degree ``bound``."""
@@ -357,10 +360,11 @@ class _Engine:
     def _orbit_walk(
         self, c: Coeffs, degree: int, pinned: bool, half: bool
     ) -> Iterator[Pair]:
-        """Blow-ups: join two levels on the line degree.  Each representative
-        of the smaller of two matching buckets is placed on the points of
-        ``c`` once per stabiliser orbit, and each complement is one lookup
-        of its orbit key in the other bucket."""
+        """Join two levels on the first coordinate.  Each representative of
+        the smaller of two matching buckets is placed on the points of ``c``
+        once per stabiliser orbit, and each complement is one lookup of its
+        orbit key in the other bucket; with at most one point each bucket
+        holds one class, the part or its complement."""
         rank, d = len(c), c[0]
         points = c[1:]
         # The blocks of equal multiplicity, or pinned a block per point.
@@ -379,6 +383,11 @@ class _Engine:
                     if 2 * e > d:
                         continue
                     scale = 2 if 2 * e < d else 1
+                if rank <= 2:
+                    [(part, n)] = bucket.items()
+                    [(other, m)] = others.items()
+                    yield scale, degree1, part, n, other, m
+                    continue
                 if len(bucket) <= len(others):
                     walked, looked_up, first = bucket, others, True
                 else:
@@ -409,27 +418,6 @@ class _Engine:
             patterns = self.placements[(counts, sizes)] = placements(counts, sizes)
         pick = values.__getitem__
         return [(weight, tuple(map(pick, labels))) for weight, labels in patterns]
-
-    def _bidegree_walk(
-        self, c: Coeffs, degree: int, pinned: bool, half: bool
-    ) -> Iterator[Pair]:
-        """The quadric: level ``D1`` is read only at the first coordinates
-        ``a1`` that leave a nonnegative complement, in increasing ``a1``;
-        each bucket holds the one bidegree ``(a1, D1/2 - a1)``, and no
-        permutation acts, so every orbit is one pair: of weight 1, or 2 off
-        the middle bucket of the half walk."""
-        a, b = c
-        for degree1 in range(2, degree // 2 + 1 if half else degree, 2):
-            half1 = degree1 // 2
-            level1, level2 = self.support[(2, degree1)], self.support[(2, degree - degree1)]
-            middle = half and 2 * degree1 == degree
-            scale = 2 if half else 1
-            top = a // 2 if middle else min(a, half1)
-            for a1 in range(max(0, half1 - b), top + 1):
-                if (bucket1 := level1.get(a1)) and (bucket2 := level2.get(a - a1)):
-                    [(c1, n1)] = bucket1.items()
-                    [(c2, n2)] = bucket2.items()
-                    yield 1 if middle and 2 * a1 == a else scale, degree1, c1, n1, c2, n2
 
     # -- reduction pipelines -------------------------------------------------
 
@@ -482,7 +470,7 @@ class _Engine:
         top = delta - 3
         row = [0, 0, *map(comb, repeat(top), range(top + 1)), 0, 0]
         total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, False, True):  # the half walk
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, half=True):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
@@ -507,7 +495,7 @@ class _Engine:
         dot = self.dot
         kappa = 2 * (1 - len(c)) * dot(c, c)
         total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, False, True):  # the half walk
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, half=True):
             pairing = dot(c1, c2)
             if pairing == 0:
                 continue
@@ -519,13 +507,13 @@ class _Engine:
 @dataclass(frozen=True)
 class _Lattice:
     """What the engine needs to know about one family of lattices; both
-    expand orbits into members with ``orbits.orbit_rows``."""
+    walk splittings with ``_Engine._orbit_walk`` and expand orbits into
+    members with ``orbits.orbit_rows``."""
 
     key: Callable[[Coeffs], Coeffs]  # standard form: the memo and the moments' key
     degree: Callable[[Coeffs], int]  # anticanonical degree
     candidates: Callable[[int, int], list[Coeffs]]  # (rank, degree) -> representatives
     reduce: Callable[..., int | None]  # (engine, key, relations=True): pipeline on a key
-    walk: Callable[[_Engine, Coeffs, int, bool, bool], Iterator[Pair]]  # (c, degree, pinned, half)
     two_point: tuple[int, int]  # coordinates of (A, B) in the two-point relation
 
 
@@ -534,7 +522,6 @@ _BLOWUPS = _Lattice(
     degree=_blowup_degree,
     candidates=_blowup_candidates,
     reduce=_Engine._reduce_blowup,
-    walk=_Engine._orbit_walk,
     two_point=(0, 0),
 )
 _QUADRIC = _Lattice(
@@ -542,7 +529,6 @@ _QUADRIC = _Lattice(
     degree=_quadric_degree,
     candidates=_quadric_candidates,
     reduce=_Engine._reduce_quadric,
-    walk=_Engine._bidegree_walk,
     two_point=(1, 0),
 )
 
@@ -650,7 +636,7 @@ def support_pairs(
     orders of every splitting are listed.
     """
     surface.check_class(beta)
-    for _, _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs, True):
+    for _, _, c1, n1, c2, n2 in _engine(surface, table).pairs(beta.coeffs, pinned=True):
         yield CurveClass(c1), n1, CurveClass(c2), n2
 
 

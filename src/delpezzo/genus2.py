@@ -130,7 +130,7 @@ def _pair_terms(
     """
     deg = surface.anticanonical_degree(beta)
     dot = surface._dot
-    walk = _engine(surface, table).pairs(orbit_key(beta.coeffs), False, half)
+    walk = _engine(surface, table).pairs(orbit_key(beta.coeffs), half=half)
     for weight, deg1, u, count1, v, count2 in walk:
         t0 = comb(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
         yield weight, u, v, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
@@ -230,7 +230,8 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
         walked = CurveClass(key)
         # The half walk: the summands are swap-invariant.
         record = engine.moments[key] = _Moments(
-            surface, walked, n0(surface, walked, table), _pair_terms(surface, walked, table, True)
+            surface, walked, n0(surface, walked, table),
+            _pair_terms(surface, walked, table, half=True),
         )
     return record
 

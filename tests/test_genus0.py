@@ -263,6 +263,9 @@ def test_support_pairs_agree_with_splittings_box():
         (Surface.blowup(3), CurveClass((3, 0, 1, 1))),
         (Surface.blowup(4), CurveClass((5, 2, 2, 1, 1))),
         (Surface.blowup(4), CurveClass((4, 2, 0, 1, 1))),
+        (Surface.blowup(1), CurveClass((5, 2))),
+        (Surface.blowup(0), CurveClass((5,))),
+        (QUADRIC, CurveClass((3, 4))),
     ]
     exceptional_parts = 0
     for surface, beta in cases:

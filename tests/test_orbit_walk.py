@@ -172,6 +172,8 @@ HALVES = [
     ("blp2:k=0", (4,), {"below", "bucket"}),  # 4 = 2 + 2
     ("p1xp1", (2, 2), {"below", "bucket"}),  # (2, 2) = (1, 1) + (1, 1)
     ("p1xp1", (4, 4), {"below", "level", "bucket"}),
+    ("p1xp1", (5, 3), {"below", "level"}),
+    ("blp2:k=1", (6, 2), {"below", "bucket"}),
     ("blp2:k=4", (5, 2, 2, 2, 1), {"below", "level"}),
     ("blp2:k=5", (4, 2, 1, 1, 1, 1), {"below", "level", "bucket"}),
 ]
@@ -301,6 +303,27 @@ def test_members_of_an_orbit_share_the_record_of_its_standard_form():
     b = _moments(surface, second, table)
     assert len(table._engine.moments) == 1
     assert a is b and a.beta == second
+
+
+# Fills whose levels of rank at most 2 (classes with at most one point,
+# a bidegree read as one) hold these many buckets.
+ONE_POINT_BUCKETS = [("blp2:k=0", 90, 30), ("blp2:k=1", 40, 147), ("p1xp1", 100, 1227),
+                     ("blp2:k=4", 13, 25)]
+
+
+@pytest.mark.parametrize("descriptor, bound, buckets", ONE_POINT_BUCKETS,
+                         ids=[d for d, _, _ in ONE_POINT_BUCKETS])
+def test_a_class_with_at_most_one_point_has_one_class_per_bucket(descriptor, bound, buckets):
+    # The degree and the first coordinate fix such a class, so the walk
+    # reads two matching buckets as a part and its complement, with no
+    # placement and no lookup.  On blp2:k=4 the levels of rank 1 and 2 are
+    # the ones the drop reaches.
+    surface = Surface.parse(descriptor)
+    engine = GwTable(surface=surface)._engine
+    engine.ensure(surface.rank, bound)
+    levels = [level for (rank, _), level in engine.support.items() if rank <= 2]
+    assert all(len(bucket) == 1 for level in levels for bucket in level.values())
+    assert sum(map(len, levels)) == buckets
 
 
 def test_levels_hold_orbit_keys_only():
