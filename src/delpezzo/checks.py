@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DelPezzoError
-from .genus0 import GwTable, n0, support_enumerate
+from .genus0 import GwTable, moment_sums, n0, support_enumerate
 from .genus2 import (
     _Moments,
     _pair_terms,
@@ -241,7 +241,7 @@ def _check_sweep(scope: str) -> list[CheckResult]:
         key = beta.coeffs
         try:
             walk = list(_pair_terms(surface, beta, table))
-            # Every splitting summand is a fixed combination of (t0, t1, t2)
+            # Every splitting summand is a fixed combination of (t0, ..., t3)
             # and each of those is a summand up to a constant, so comparing
             # them is exact.  The walk of the orbit key beta, never the moments
             # memo, yields one pair per orbit of the permutations of points
@@ -258,7 +258,7 @@ def _check_sweep(scope: str) -> list[CheckResult]:
             if any(terms.get((b, a)) != term for (a, b), term in terms.items()):
                 problems.append(f"{surface.descriptor}:{beta}: asymmetric summand")
             # Building the record makes every exact division but n2j's.
-            moments = _Moments(surface, beta, n0(surface, beta, table), walk)
+            moments = _Moments(surface, beta, n0(surface, beta, table), moment_sums(walk))
             n2j = moments.n2j(2)
         except DelPezzoError as exc:
             problems.append(f"{surface.descriptor}:{beta}: {exc}")

@@ -17,7 +17,8 @@ points, 0 <= N <= 8) and ``p1xp1``.  Class vectors are comma-separated
 integers; on ``blp2:k=N`` the vector ``d,m1,...,mN`` denotes the class of
 degree d with multiplicity m_i at the i-th point (so the conic through
 both points of ``blp2:k=2`` is ``--class 2,1,1``), and on ``p1xp1`` the
-vector ``a,b`` is the bidegree.
+vector ``a,b`` is the bidegree.  A vector that starts with ``-`` goes after
+``=``, as in ``--class=-1,3``: argparse reads the word ``-1,3`` as an option.
 
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 an asserted
 consistency check failed, 141 (128 + SIGPIPE) the reader closed standard

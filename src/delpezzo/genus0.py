@@ -6,16 +6,21 @@ in a class ``beta`` through ``delta(beta)`` generic points.
 It uses coefficient identities of the genus-zero point-insertion potential:
 associativity of the quantum product (WDVV) contracted with two divisors
 and two point classes, or with four divisors.  Writing ``delta_i`` for
-``delta(beta_i)`` and ``C`` for the binomial, the two relations are, for
-divisors A, B and sums over ordered splittings ``beta = beta1 + beta2``
-into nonzero parts:
+``delta(beta_i)``, ``deg_i = delta_i + 1``, ``C`` for the binomial and
+``w = C(delta-1, delta1)``, the splitting moments (``genus2`` reads the
+first three), summed over ordered splittings ``beta = beta1 + beta2``
+into nonzero parts, are
+
+  S0 = sum w n1 n2 (b1.b2)               S2 = sum w n1 n2 (b1.b2) b1^2 b2^2
+  S1 = sum w n1 n2 (b1.b2) deg1 deg2     S3 = sum w n1 n2 (b1.b2)^3
+
+and the two relations are, for divisors A, B:
 
   [two points]   (A.B) n(beta) =
       sum n1 n2 (b1.b2) [ (b1.A)(b2.B) C(delta-3, delta1-1)
                           - (b1.A)(b1.B) C(delta-3, delta1) ]
 
-  [no points]    2 (1 - r) beta^2 n(beta) =
-      sum C(delta-1, delta1) n1 n2 (b1.b2) [ b1^2 b2^2 - (b1.b2)^2 ]
+  [no points]    2 (1 - r) beta^2 n(beta) = S2 - S3
 
 The second is WDVV with four divisors (A, B, C, D), which holds at every
 delta >= 1, summed over (e_a, e_b, e^a, e^b) for a basis e_a of a lattice
@@ -104,19 +109,19 @@ stands for.  A pair whose mirror ``(beta2, beta1)`` lies in another level
 or bucket stands for the mirror's orbit too, which has the same size, so
 its weight is twice its orbit size; the middle bucket pairs with itself,
 so its placements yield both orders, each weighted by its orbit size.
-The summands of the four-divisor relation and of the moments are
-swap-invariant, as ``C(delta-1, delta1) = C(delta-1, delta2)``, so they
-are summed with these weights as they stand.  The two-point relation's
-summand is not: it sums the summands of a pair and of its mirror, which
+The moments' summands are swap-invariant, as ``C(delta-1, delta1) =
+C(delta-1, delta2)``, so ``_Engine.terms`` yields them with these weights
+as they stand, to both genera.  The two-point relation's summand is not:
+it sums the summands of a pair and of its mirror, which
 with ``delta2 = delta - 1 - delta1`` and ``C(n, r) = C(n, n - r)`` reads
 ``C(delta-3, delta1-1)`` and ``C(delta-3, delta1-2)``, and halves the
 total, which counts both orders twice; the halving is exact and
 asserted.  ``support_pairs`` and the swap test of the consistency suite
 keep the full ordered walk: the output lists every ordered pair, and the
 swap test compares the two orders of one walk, which a walk that built
-the mirrors would pass by construction.  The binomials are
-``math.comb``, the two-point relation's from one row per relation,
-padded with zeros below the triangle.
+the mirrors would pass by construction.  The binomials are the
+two-point relation's row, one per relation, of ``math.comb`` padded with
+zeros below the triangle, and ``math.comb`` in ``terms``, inside it.
 
 The levels are filled in order of degree before a relation reads them,
 so evaluation is bottom-up.  ``standard_form`` runs a Cremona chain in a
@@ -139,7 +144,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb, isqrt
@@ -176,6 +181,20 @@ CACHE_VERSION = 1
 # the permutations of the points that fix the split class, and in the half
 # walk also their mirrors (c2, c1).
 Pair = tuple[int, int, Coeffs, int, Coeffs, int]
+# (weight, c1, c2, (t0, t1, t2, t3)): a pair's summands of S0, S1, S2, S3.
+Term = tuple[int, Coeffs, Coeffs, tuple[int, int, int, int]]
+
+
+def moment_sums(terms: Iterable[Term]) -> tuple[int, int, int, int]:
+    """``(S0, S1, S2, S3)`` of the summands ``_Engine.terms`` yields: each
+    ``(weight, c1, c2, (t0, t1, t2, t3))`` adds ``weight * t_i`` to ``S_i``."""
+    s0 = s1 = s2 = s3 = 0
+    for weight, _, _, (t0, t1, t2, t3) in terms:
+        s0 += weight * t0
+        s1 += weight * t1
+        s2 += weight * t2
+        s3 += weight * t3
+    return s0, s1, s2, s3
 
 
 def _spread_cost(total: int, slots: int) -> int:
@@ -345,6 +364,21 @@ class _Engine:
         self.ensure(len(c), degree - 1)
         return self._orbit_walk(c, degree, pinned, half)
 
+    def terms(self, c: Coeffs, half: bool = False) -> Iterator[Term]:
+        """The summands ``(weight, c1, c2, (t0, t0 deg1 deg2, t0 b1^2 b2^2,
+        t0 (b1.b2)^2))`` of ``S0 .. S3``, ``t0 = w n1 n2 (b1.b2)``, one per
+        pair of the walk of the orbit key ``c`` (``pairs``, full or
+        ``half``).  Both parts have ``deg1, deg2 >= 1``, so ``w = C(deg - 2,
+        deg1 - 1)`` is ``math.comb`` inside the triangle."""
+        dot = self.dot
+        degree = self.lattice.degree(c)
+        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, half=half):
+            pairing = dot(c1, c2)
+            t0 = comb(degree - 2, degree1 - 1) * n1 * n2 * pairing
+            squares = dot(c1, c1) * dot(c2, c2)
+            yield weight, c1, c2, (t0, t0 * degree1 * (degree - degree1), t0 * squares,
+                                   t0 * pairing * pairing)
+
     def ensure(self, rank: int, bound: int) -> None:
         """Fill the support levels of ``rank`` up to anticanonical degree ``bound``."""
         for degree in range(self.ensured.get(rank, 0) + 1, bound + 1):
@@ -445,7 +479,7 @@ class _Engine:
         if delta >= 3:
             return self._two_point_relation(c, delta)
         if delta >= 1:
-            return self._four_divisor_relation(c, delta)
+            return self._four_divisor_relation(c)
         raise RecursionFailure(f"no reduction applies to {c}")
 
     def _reduce_quadric(self, c: Coeffs, relations: bool = True) -> int | None:
@@ -486,22 +520,13 @@ class _Engine:
         # The weights count both orders of each splitting, and so does term.
         return exact_quotient(total, 2, "two-point relation", c)
 
-    def _four_divisor_relation(self, c: Coeffs, delta: int) -> int:
+    def _four_divisor_relation(self, c: Coeffs) -> int:
         # (A, B, C, D) = (e_a, e_b, e^a, e^b) summed over a basis and its
-        # dual: only pairings remain, so every summand is invariant under
-        # the lattice's isometries and under swapping the parts, and the
-        # half walk pins no point.  The leading coefficient is 2 (1 - r) beta^2
-        # on a lattice of rank r.
-        dot = self.dot
-        kappa = 2 * (1 - len(c)) * dot(c, c)
-        total = 0
-        for weight, degree1, c1, n1, c2, n2 in self.pairs(c, half=True):
-            pairing = dot(c1, c2)
-            if pairing == 0:
-                continue
-            bracket = dot(c1, c1) * dot(c2, c2) - pairing * pairing
-            total += comb(delta - 1, degree1 - 1) * weight * n1 * n2 * pairing * bracket
-        return exact_quotient(total, kappa, "four-divisor relation", c)
+        # dual leaves S2 - S3 of the half walk over the leading coefficient
+        # 2 (1 - r) beta^2, on a lattice of rank r.
+        _, _, s2, s3 = moment_sums(self.terms(c, half=True))
+        kappa = 2 * (1 - len(c)) * self.dot(c, c)
+        return exact_quotient(s2 - s3, kappa, "four-divisor relation", c)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ Each summand is invariant under swapping the two parts, because
 C(delta-1, delta(beta1)) = C(delta-1, delta(beta2)), and under the
 permutations of blown-up points, because counts, pairings and degrees
 are.  So the moments are read from one half walk of the orbit key of
-``beta`` (``genus0._Engine.pairs`` with ``half``): one pair per orbit of
-unordered splittings under its stabiliser, its summand weighted by the
-orbit size, doubled off the middle bucket, where the pair also stands
-for its mirror, which the walk skips.  The consistency suite's sweep reads the
+``beta`` (``genus0._Engine.terms`` with ``half``, the summands the
+four-divisor relation reads too): one pair per orbit of unordered
+splittings under its stabiliser, its summand weighted by the orbit size,
+doubled off the middle bucket, where the pair also stands for its
+mirror, which the walk skips.  The consistency suite's sweep reads the
 full ordered walk of the same summands instead.  ``n0`` and the moments are
 invariant under W(E_k) on blow-ups and under swapping the rulings on the
 quadric, so a table computes them once per standard form, the key its
@@ -78,12 +79,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvalidClass, NegativeCount
-from .genus0 import GwTable, _engine, n0
+from .genus0 import GwTable, Term, _engine, moment_sums, n0
 from .numerics import exact_quotient, to_decimal_string
-from .orbits import Coeffs, orbit_key
+from .orbits import orbit_key
 from .surface import CurveClass, Surface
 
 __all__ = [
@@ -106,46 +107,24 @@ __all__ = [
 ]
 
 
-def _pair_terms(
-    surface: Surface, beta: CurveClass, table: GwTable | None, half: bool = False
-) -> Iterator[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]]:
-    """The summands of ``S0, S1, S2``, one per orbit of ordered splittings
-    of the orbit key of ``beta`` under its stabiliser:
-    ``(weight, u, v, (t0, t0 deg1 deg2, t0 b1^2 b2^2))`` with ``u``, ``v``
-    the coefficient tuples of one member ``(beta1, beta2)``, ``weight`` the
-    orbit size and ``t0 = w n1 n2 (b1.b2)``.  Each summand is the same on
-    every member of its orbit, so ``S_i`` is the weighted sum.  With
-    ``half`` the walk yields each unordered splitting once
-    (``genus0._Engine.pairs``): the summands are swap-invariant, so a pair
-    whose mirror is not walked carries twice its orbit size as weight.
-
-    ``beta`` is validated once per call.  The parts come from the genus-zero
-    engine, which only builds classes of the surface's rank, so each pair's
-    ``b1.b2``, ``b1^2`` and ``b2^2`` are read off the coefficient tuples with
-    the unchecked pairing ``Surface._dot``.  The rest follows from
-    additivity of the degree: ``deg2 = deg - deg1`` and
-    ``w = C(delta - 1, delta(beta1)) = C(deg - 2, deg1 - 1)``, which
-    ``math.comb`` gives inside the triangle, since both parts have
-    ``deg1, deg2 >= 1``.
-    """
-    deg = surface.anticanonical_degree(beta)
-    dot = surface._dot
-    walk = _engine(surface, table).pairs(orbit_key(beta.coeffs), half=half)
-    for weight, deg1, u, count1, v, count2 in walk:
-        t0 = comb(deg - 2, deg1 - 1) * count1 * count2 * dot(u, v)
-        yield weight, u, v, (t0, t0 * deg1 * (deg - deg1), t0 * dot(u, u) * dot(v, v))
+def _pair_terms(surface: Surface, beta: CurveClass, table: GwTable | None) -> Iterator[Term]:
+    """The summands of the full ordered walk of the orbit key of ``beta``
+    (``genus0._Engine.terms``), which the consistency suite's sweep reads;
+    ``beta`` is validated once per call."""
+    surface.check_class(beta)
+    return _engine(surface, table).terms(orbit_key(beta.coeffs))
 
 
 class _Moments:
     """The genus-two record of one standard form ``beta``: ``n0``, the
-    moments ``S0, S1, S2`` summed from a walk's summands (see
-    :func:`_pair_terms`), and every quantity of the module docstring, each
-    evaluated once, when the record is built.  Cleared of denominators,
-    each quantity is one integer numerator over one denominator, so an
-    integral one is a single ``numerics.exact_quotient``, which formats the
-    error naming ``beta`` only when the division leaves a remainder.  Every
-    division but ``n2j``'s, which waits for ``aut``, runs here, so a broken
-    walk fails when its record is built:
+    moments ``S0, S1, S2`` of ``sums`` (``genus0.moment_sums`` of the
+    summands of ``genus0._Engine.terms``), and every quantity of the module
+    docstring, each evaluated once, when the record is built.  Cleared of
+    denominators, each quantity is one integer numerator over one
+    denominator, so an integral one is a single ``numerics.exact_quotient``,
+    which formats the error naming ``beta`` only when the division leaves a
+    remainder.  Every division but ``n2j``'s, which waits for ``aut``, runs
+    here, so a broken walk fails when its record is built:
 
         taut      = (2 x1^2 n0 - S1) / (2 deg)
         cusp      = (2 (x2 deg - x1^2) n0 + S1 - 2 deg S0) / (2 deg)
@@ -159,13 +138,9 @@ class _Moments:
         surface: Surface,
         beta: CurveClass,
         count: int,
-        terms: Iterable[tuple[int, Coeffs, Coeffs, tuple[int, int, int]]],
+        sums: tuple[int, int, int, int],
     ) -> None:
-        s0 = s1 = s2 = 0
-        for weight, _, _, (t0, t1, t2) in terms:
-            s0 += weight * t0
-            s1 += weight * t1
-            s2 += weight * t2
+        s0, s1, s2, _ = sums
         # The walk's caller has validated ``beta``, so both pairings are unchecked.
         c, dot = beta.coeffs, surface._dot
         deg, sq = dot(surface.anticanonical.coeffs, c), dot(c, c)
@@ -210,14 +185,12 @@ class _Moments:
 
 
 def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Moments:
-    """The genus-two record of ``beta``: one ``n0`` call and one splitting
-    pass, both on its standard form (``_Lattice.key``, the genus-zero
-    memo's key), the first time the table's engine meets that form, and a
-    lookup after.  ``n0``, the moments and so every quantity are invariant
-    under the lattice's symmetries, so every member of an orbit reads the
-    one record, and its errors name the standard form that was walked."""
-    if table is None:
-        table = GwTable(surface)
+    """The genus-two record of ``beta``: its count and one half walk of
+    ``_Engine.terms``, both on its standard form (``_Lattice.key``, the
+    genus-zero memo's key), the first time the table's engine meets that
+    form, and a lookup after.  ``n0``, the moments and so every quantity
+    are invariant under the lattice's symmetries, so every member of an
+    orbit reads the one record, and its errors name the standard form."""
     delta = surface.anticanonical_degree(beta) - 1
     if delta < 1:
         raise InvalidClass(
@@ -227,11 +200,10 @@ def _moments(surface: Surface, beta: CurveClass, table: GwTable | None) -> _Mome
     key = engine.lattice.key(beta.coeffs)
     record = engine.moments.get(key)
     if record is None:
-        walked = CurveClass(key)
         # The half walk: the summands are swap-invariant.
         record = engine.moments[key] = _Moments(
-            surface, walked, n0(surface, walked, table),
-            _pair_terms(surface, walked, table, half=True),
+            surface, CurveClass(key), engine.value(key),
+            moment_sums(engine.terms(key, half=True)),
         )
     return record
 

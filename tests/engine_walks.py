@@ -1,6 +1,5 @@
 """Splitting walks for tests: the engine's full ordered walk of an orbit
-key, the moment sums of a walk, and the walk counter behind the
-walk-count tests."""
+key, and the walk counter behind the walk-count tests."""
 
 from __future__ import annotations
 
@@ -22,20 +21,6 @@ def ordered_orbit_pairs(surface, beta, table=None):
     """
     surface.check_class(beta)
     return _engine(surface, table).pairs(orbit_key(beta.coeffs))
-
-
-def moment_sums(terms) -> tuple[int, int, int]:
-    """``S0, S1, S2`` of the summands ``genus2._pair_terms`` yields: each
-    ``(weight, u, v, (t0, t1, t2))`` adds ``weight * t_i`` to ``S_i``.  The
-    genus-two record sums the same summands when it is built; this sum
-    lets a test compare walks without building a record, whose exact
-    divisions could fail first."""
-    s0 = s1 = s2 = 0
-    for weight, _, _, (t0, t1, t2) in terms:
-        s0 += weight * t0
-        s1 += weight * t1
-        s2 += weight * t2
-    return s0, s1, s2
 
 
 def record_walks(monkeypatch) -> list[Coeffs]:

@@ -282,6 +282,17 @@ def test_class_vector_written_otherwise_than_str_writes_it_is_usage_error(capsys
     assert "cannot parse curve class" in err
 
 
+def test_a_class_vector_that_starts_with_a_minus_sign_goes_after_an_equals_sign(capsys):
+    # As a word of its own, -1,3 reads as an option, so --class has no value.
+    with pytest.raises(SystemExit) as info:
+        main(["count", "genus0", "--surface", "p1xp1", "--class", "-1,3"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --class: expected one argument" in captured.err
+    assert run(capsys, "count", "genus0", "--surface", "p1xp1", "--class=-1,3") == (0, "0\n", "")
+
+
 def test_odd_aut_is_usage_error(capsys):
     code, _, err = run(
         capsys, "count", "genus2", "--surface", "blp2:k=0", "--class", "4", "--aut", "3"

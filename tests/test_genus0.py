@@ -544,7 +544,7 @@ def relation_first(engine: _Engine, c: tuple[int, ...]) -> int:
     if delta >= 1 and engine.dot(c, c) != 0:
         # Off the standard forms too, as long as its leading coefficient
         # 2 (1 - r) beta^2 is not zero.
-        return engine._four_divisor_relation(c, delta)
+        return engine._four_divisor_relation(c)
     assert len(ms) >= 3 and ms[0] + ms[1] + ms[2] > d, c
     return engine.value(cremona(c))
 
@@ -598,9 +598,9 @@ def test_eight_point_fill_nests_a_few_frames_per_point(monkeypatch):
     fired = []
     real = _Engine._four_divisor_relation
 
-    def recording(self, c, delta):
+    def recording(self, c):
         fired.append(c)
-        return real(self, c, delta)
+        return real(self, c)
 
     monkeypatch.setattr(_Engine, "_four_divisor_relation", recording)
     engine = _Engine(Surface.blowup(8))

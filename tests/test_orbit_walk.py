@@ -17,11 +17,11 @@ from collections import Counter
 
 import pytest
 
-from delpezzo.genus0 import GwTable, n0, support_enumerate, support_pairs
+from delpezzo.genus0 import GwTable, moment_sums, n0, support_enumerate, support_pairs
 from delpezzo.genus2 import _moments, _pair_terms
 from delpezzo.orbits import orbit_key, orbit_rows, placements, standard_form
 from delpezzo.surface import CurveClass, Surface
-from engine_walks import moment_sums, ordered_orbit_pairs
+from engine_walks import ordered_orbit_pairs
 from splitting_box import binomial, splittings
 
 # Classes with repeated multiplicities on k = 3..8 points, small enough for
@@ -136,7 +136,7 @@ def _relation_sums(surface, key, table):
         for summand in (_two_point, _four_divisor)
     )
     kappa = 2 * (1 - len(key)) * dot(key, key)
-    engine_four = engine._four_divisor_relation(key, delta) * kappa if kappa else 0
+    engine_four = engine._four_divisor_relation(key) * kappa if kappa else 0
     return (two_point, four_divisor), (engine._two_point_relation(key, delta), engine_four)
 
 
@@ -243,14 +243,16 @@ def test_pinning_the_read_points_matters():
 
 
 def _expanded_sums(surface, beta, table):
-    """``S0, S1, S2`` summed over the ordered pairs of ``support_pairs``."""
+    """``S0, S1, S2, S3`` summed over the ordered pairs of ``support_pairs``."""
     deg = surface.anticanonical_degree(beta)
-    sums = [0, 0, 0]
+    sums = [0, 0, 0, 0]
     for b1, n1, b2, n2 in support_pairs(surface, beta, table):
-        t0 = binomial(deg - 2, surface.delta(b1)) * n1 * n2 * surface.intersect(b1, b2)
+        pairing = surface.intersect(b1, b2)
+        t0 = binomial(deg - 2, surface.delta(b1)) * n1 * n2 * pairing
         sums[0] += t0
         sums[1] += t0 * surface.anticanonical_degree(b1) * surface.anticanonical_degree(b2)
         sums[2] += t0 * surface.self_intersection(b1) * surface.self_intersection(b2)
+        sums[3] += t0 * pairing * pairing
     return tuple(sums)
 
 
@@ -259,7 +261,9 @@ def test_weighted_moments_match_the_pair_sums(k, coeffs):
     surface, beta = Surface.blowup(k), CurveClass(coeffs)
     table = GwTable(surface=surface)
     moments = _moments(surface, beta, table)
-    assert (moments.s0, moments.s1, moments.s2) == _expanded_sums(surface, beta, table)
+    sums = moment_sums(table._engine.terms(moments.beta.coeffs, half=True))
+    assert sums == _expanded_sums(surface, beta, table)
+    assert (moments.s0, moments.s1, moments.s2) == sums[:3]
     assert moments.beta == CurveClass(standard_form(coeffs))
 
 
@@ -286,7 +290,8 @@ def test_weighted_moments_of_every_standard_form_match_the_ordered_walks(descrip
                     continue
                 beta = CurveClass(key)
                 moments = _moments(surface, beta, table)
-                sums = (moments.s0, moments.s1, moments.s2)
+                sums = moment_sums(engine.terms(key, half=True))
+                assert (moments.s0, moments.s1, moments.s2) == sums[:3], key
                 assert sums == moment_sums(_pair_terms(surface, beta, table)), key
                 if surface.k != 8:
                     assert sums == _expanded_sums(surface, beta, table), key
